@@ -113,8 +113,9 @@ func (f *chaosFixture) chaosDeployCfg(i int) indiss.Config {
 // given intra-segment loss rate), one gateway per segment peered in a
 // chain, and svcPerSeg churn hosts per segment. fedSync is the
 // anti-entropy interval: snappy for small fault scenarios, but it MUST
-// scale with fleet size — a full-view snapshot every 250ms is O(view²)
-// background traffic while thousands of services register.
+// scale with fleet size — a round that finds an origin diverged pushes
+// that origin's whole bucket, so a 250ms cadence re-pushes large views
+// while thousands of services register.
 func newChaosCampus(tb testing.TB, segs, svcPerSeg int, lanLoss float64, fedSync time.Duration, opts ...chaosOpt) *chaosFixture {
 	tb.Helper()
 	topo := indiss.NewTopology(simnet.Config{
@@ -227,10 +228,10 @@ func soakConfig() chaos.WorkloadConfig {
 
 // TestChaosGatewayCrashRestart: a transit gateway crashes mid-churn and
 // returns with the same identity and an empty view. The federation must
-// re-sync it in full (snapshot on reconnect), records bridged through it
-// must stay TTL-bounded while it is gone, withdrawals performed during
-// the outage must not resurrect, and the re-converged views must be
-// duplicate-free with sane hop counts.
+// re-sync it in full (digest repair on reconnect), records bridged
+// through it must stay TTL-bounded while it is gone, withdrawals
+// performed during the outage must not resurrect, and the re-converged
+// views must be duplicate-free with sane hop counts.
 func TestChaosGatewayCrashRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak; skipped in -short")
@@ -556,9 +557,9 @@ func TestChurnScale5k(t *testing.T) {
 		JiniCacheTTL:     10 * time.Second,
 		Mix:              chaos.Mix{SLP: 30, DNSSD: 55, UPnP: 5, Jini: 10},
 	}
-	// Anti-entropy scales with the fleet: at 5k records a snapshot is
-	// ~1MB per peer per round, so the repair cadence relaxes to 2s and
-	// incremental deltas carry the steady state.
+	// Anti-entropy scales with the fleet: at 5k records a diverged
+	// origin's repair push is up to ~1MB per peer, so the repair cadence
+	// relaxes to 2s and incremental deltas carry the steady state.
 	churnSoak(t, 5000, 3, 250, cfg, 2*time.Second)
 }
 

@@ -6,7 +6,7 @@
 // the live fabric: the gateways' TCP session resets and the segments are
 // on their own. While split, a second service appears on segment 2 and a
 // first one is withdrawn; segment 1 can learn neither fact. On heal the
-// peering re-establishes, the snapshot-on-reconnect re-syncs the views,
+// peering re-establishes, digest repair on reconnect re-syncs the views,
 // and the withdrawal tombstones stop the split-off gateway from
 // resurrecting the dead record — the two halves agree again.
 //

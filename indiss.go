@@ -263,18 +263,18 @@ func Deploy(stack Stack, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("indiss: ViewMemBudget requires DataDir (spilled records need somewhere to live)")
 	}
 	coreCfg := core.Config{
-		Role:           cfg.Role,
-		Units:          cfg.SDPs,
-		Dynamic:        cfg.Dynamic,
-		ThresholdBps:   cfg.ThresholdBps,
-		Profile:        cfg.Profile,
-		NoCache:        cfg.NoCache,
-		DataDir:        cfg.DataDir,
-		ViewMemBudget:  cfg.ViewMemBudget,
-		GatewayID:      cfg.GatewayID,
-		Peers:          cfg.Peers,
-		FederationPort: cfg.FederationPort,
+		Role:          cfg.Role,
+		Units:         cfg.SDPs,
+		Dynamic:       cfg.Dynamic,
+		ThresholdBps:  cfg.ThresholdBps,
+		Profile:       cfg.Profile,
+		NoCache:       cfg.NoCache,
+		DataDir:       cfg.DataDir,
+		ViewMemBudget: cfg.ViewMemBudget,
+		GatewayID:     cfg.GatewayID,
 	}
+	// Planes start in this order and close in reverse: the predictor
+	// observes the federation and query planes, so it comes last.
 	if len(cfg.Peers) > 0 || cfg.FederationPort != 0 {
 		peers := make([]Addr, 0, len(cfg.Peers))
 		for _, p := range cfg.Peers {
@@ -288,7 +288,7 @@ func Deploy(stack Stack, cfg Config) (*System, error) {
 		if cfg.FederationStack != nil {
 			fedStack = cfg.FederationStack
 		}
-		coreCfg.Federation = func(s *core.System) (io.Closer, error) {
+		coreCfg.Planes = append(coreCfg.Planes, core.Plane{Kind: core.PlaneFederation, Start: func(s *core.System) (io.Closer, error) {
 			fcfg := federation.Config{
 				GatewayID:           s.GatewayID(),
 				ListenPort:          cfg.FederationPort,
@@ -301,19 +301,18 @@ func Deploy(stack Stack, cfg Config) (*System, error) {
 				fcfg.Persistence = st
 			}
 			return federation.New(fedStack, s.View(), fcfg)
-		}
+		}})
 	}
 	if cfg.QueryPort != 0 {
-		coreCfg.QueryPort = cfg.QueryPort
-		coreCfg.Query = func(s *core.System) (io.Closer, error) {
+		coreCfg.Planes = append(coreCfg.Planes, core.Plane{Kind: core.PlaneQuery, Start: func(s *core.System) (io.Closer, error) {
 			return query.New(stack, s.View(), query.Config{
 				ListenPort: cfg.QueryPort,
 				GatewayID:  s.GatewayID(),
 			})
-		}
+		}})
 	}
 	if cfg.Predict {
-		coreCfg.Predict = func(s *core.System) (io.Closer, error) {
+		coreCfg.Planes = append(coreCfg.Planes, core.Plane{Kind: core.PlanePredict, Start: func(s *core.System) (io.Closer, error) {
 			pcfg := cfg.PredictConfig
 			if pcfg.RulePath == "" && cfg.DataDir != "" {
 				pcfg.RulePath = filepath.Join(cfg.DataDir, "rules.iprt")
@@ -328,7 +327,7 @@ func Deploy(stack Stack, cfg Config) (*System, error) {
 				fed = ep
 			}
 			return predict.New(pcfg, s.View(), qs, fed)
-		}
+		}})
 	}
 	if cfg.Spec != "" {
 		spec, err := core.ParseSpec(cfg.Spec)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"io"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -55,9 +56,9 @@ func TestSystemCloseIdempotent(t *testing.T) {
 	wantErr := errors.New("query plane failed to drain")
 	qp := &errCloser{err: wantErr}
 	sys, err := NewSystem(host, reg, Config{
-		Role:  RoleGateway,
-		Units: []SDP{SDPSLP},
-		Query: func(*System) (io.Closer, error) { return qp, nil },
+		Role:   RoleGateway,
+		Units:  []SDP{SDPSLP},
+		Planes: []Plane{{Kind: PlaneQuery, Start: func(*System) (io.Closer, error) { return qp, nil }}},
 	})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
@@ -93,9 +94,9 @@ func TestSystemCloseConcurrent(t *testing.T) {
 	wantErr := errors.New("peering teardown error")
 	fed := &errCloser{err: wantErr}
 	sys, err := NewSystem(host, reg, Config{
-		Role:       RoleGateway,
-		Units:      []SDP{SDPUPnP},
-		Federation: func(*System) (io.Closer, error) { return fed, nil },
+		Role:   RoleGateway,
+		Units:  []SDP{SDPUPnP},
+		Planes: []Plane{{Kind: PlaneFederation, Start: func(*System) (io.Closer, error) { return fed, nil }}},
 	})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
@@ -122,5 +123,69 @@ func TestSystemCloseConcurrent(t *testing.T) {
 	}
 	if got := fed.closes.Load(); got != 1 {
 		t.Errorf("federation closed %d times, want exactly 1", got)
+	}
+}
+
+// orderCloser records its name into a shared log when closed.
+type orderCloser struct {
+	name string
+	log  *[]string
+}
+
+func (c *orderCloser) Close() error {
+	*c.log = append(*c.log, c.name)
+	return nil
+}
+
+// TestPlanesStartInOrderCloseInReverse: planes start in list order —
+// a later plane already sees the earlier ones through the accessors —
+// and close in reverse, each accessor answering its own kind.
+func TestPlanesStartInOrderCloseInReverse(t *testing.T) {
+	n := simnet.New(simnet.Config{})
+	t.Cleanup(n.Close)
+	host := n.MustAddHost("gw", "10.0.0.9")
+
+	var started, closed []string
+	plane := func(kind PlaneKind) Plane {
+		return Plane{Kind: kind, Start: func(s *System) (io.Closer, error) {
+			started = append(started, string(kind))
+			return &orderCloser{name: string(kind), log: &closed}, nil
+		}}
+	}
+	pred := plane(PlanePredict)
+	start := pred.Start
+	pred.Start = func(s *System) (io.Closer, error) {
+		if s.Federation() == nil || s.QueryPlane() == nil {
+			t.Error("predict started before the planes it observes")
+		}
+		return start(s)
+	}
+	sys, err := NewSystem(host, NewRegistry(), Config{
+		Role:   RoleGateway,
+		Planes: []Plane{plane(PlaneFederation), plane(PlaneQuery), pred},
+	})
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	for kind, got := range map[PlaneKind]io.Closer{
+		PlaneFederation: sys.Federation(),
+		PlaneQuery:      sys.QueryPlane(),
+		PlanePredict:    sys.Predictor(),
+	} {
+		if c, ok := got.(*orderCloser); !ok || c.name != string(kind) {
+			t.Errorf("accessor for %s returned %v", kind, got)
+		}
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"federation", "query plane", "predict"}; !reflect.DeepEqual(started, want) {
+		t.Errorf("start order %v, want %v", started, want)
+	}
+	if want := []string{"predict", "query plane", "federation"}; !reflect.DeepEqual(closed, want) {
+		t.Errorf("close order %v, want %v", closed, want)
+	}
+	if sys.Federation() != nil || sys.QueryPlane() != nil || sys.Predictor() != nil {
+		t.Error("accessors still answer after Close")
 	}
 }

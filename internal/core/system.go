@@ -61,52 +61,42 @@ type Config struct {
 	// defaults to the host name. Only meaningful with federation
 	// enabled.
 	GatewayID string
-	// Peers lists the "ip:port" federation endpoints of peer gateways
-	// this instance dials and keeps synced with.
-	Peers []string
-	// FederationPort is the TCP port the federation endpoint listens
-	// on. Zero uses the federation package's default.
-	FederationPort int
-	// Federation builds the peering endpoint once the system is up. The
-	// hook indirection (set by the public indiss package) keeps core
-	// free of a dependency on internal/federation, which itself imports
-	// core for the view and records. Nil disables federation.
-	Federation FederationHook
 
-	// QueryPort is the TCP port the HTTP/JSON query plane listens on.
-	// Zero uses the query package's default; only meaningful with Query
-	// set.
-	QueryPort int
-	// Query builds the HTTP/JSON read plane once the system is up —
-	// the same hook indirection as Federation, keeping core free of a
-	// dependency on internal/query. Nil disables the query plane.
-	Query QueryHook
-
-	// Predict builds the predictive discovery cache once the query
-	// plane is up — the same hook indirection again, keeping core free
-	// of a dependency on internal/predict. It runs last in the start
-	// order (it observes the planes the other hooks built) and closes
-	// first. Nil disables prediction.
-	Predict PredictHook
+	// Planes are the optional subsystems layered over the running
+	// system — federation, query, predict — built by the public indiss
+	// package, which keeps core free of a dependency on their packages
+	// (they import core for the view and records). Planes start in list
+	// order once the monitor and units are up, so a later plane can
+	// look up an earlier one through the System accessors. They close
+	// in reverse order, before the monitor and units: nothing drives a
+	// plane that is already shutting down, and no remote knowledge or
+	// query flows into a closing instance.
+	Planes []Plane
 }
 
-// FederationHook constructs the view-sync peering endpoint for a running
-// system. The returned closer is shut down first on System.Close, before
-// the monitor and units, so no remote knowledge flows into a closing
-// instance.
-type FederationHook func(*System) (io.Closer, error)
+// PlaneKind names an optional plane; System's accessors look planes up
+// by kind.
+type PlaneKind string
 
-// QueryHook constructs the HTTP/JSON query plane for a running system.
-// Closed alongside the federation endpoint, before the monitor and
-// units, so in-flight reads drain against a still-live view.
-type QueryHook func(*System) (io.Closer, error)
+// The plane kinds the gateway builds.
+const (
+	PlaneFederation PlaneKind = "federation"
+	PlaneQuery      PlaneKind = "query plane"
+	PlanePredict    PlaneKind = "predict"
+)
 
-// PredictHook constructs the predictive discovery cache for a running
-// system. It is invoked after the federation and query hooks, so
-// System.Federation() and System.QueryPlane() already answer; it is
-// closed before both, so prediction never drives planes that are
-// shutting down.
-type PredictHook func(*System) (io.Closer, error)
+// Plane is one optional subsystem: Start constructs it for a running
+// system, and System.Close closes what Start returned.
+type Plane struct {
+	Kind  PlaneKind
+	Start func(*System) (io.Closer, error)
+}
+
+// runningPlane is a started plane.
+type runningPlane struct {
+	kind   PlaneKind
+	closer io.Closer
+}
 
 // ErrSystemClosed reports use of a closed system.
 var ErrSystemClosed = errors.New("core: system closed")
@@ -129,16 +119,14 @@ type System struct {
 	store       *viewstore.Store
 	storeCancel func()
 
-	mu         sync.Mutex
-	units      map[SDP]Unit
-	allowed    map[SDP]struct{}
-	closed     bool
-	closeErr   error
-	closeDone  chan struct{}
-	reAdv      bool
-	federation io.Closer
-	query      io.Closer
-	predictor  io.Closer
+	mu        sync.Mutex
+	units     map[SDP]Unit
+	allowed   map[SDP]struct{}
+	closed    bool
+	closeErr  error
+	closeDone chan struct{}
+	reAdv     bool
+	planes    []runningPlane // in start order
 
 	sem  chan struct{}
 	stop chan struct{}
@@ -214,34 +202,14 @@ func NewSystem(stack netapi.Stack, registry *Registry, cfg Config) (*System, err
 			s.policyLoop()
 		}()
 	}
-	if cfg.Federation != nil {
-		fed, err := cfg.Federation(s)
+	for _, p := range cfg.Planes {
+		c, err := p.Start(s)
 		if err != nil {
 			s.Close()
-			return nil, fmt.Errorf("core: federation: %w", err)
+			return nil, fmt.Errorf("core: %s: %w", p.Kind, err)
 		}
 		s.mu.Lock()
-		s.federation = fed
-		s.mu.Unlock()
-	}
-	if cfg.Query != nil {
-		qp, err := cfg.Query(s)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("core: query plane: %w", err)
-		}
-		s.mu.Lock()
-		s.query = qp
-		s.mu.Unlock()
-	}
-	if cfg.Predict != nil {
-		pr, err := cfg.Predict(s)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("core: predict: %w", err)
-		}
-		s.mu.Lock()
-		s.predictor = pr
+		s.planes = append(s.planes, runningPlane{kind: p.Kind, closer: c})
 		s.mu.Unlock()
 	}
 	return s, nil
@@ -256,38 +224,35 @@ func (s *System) GatewayID() string {
 	return s.stack.Name()
 }
 
-// Peers returns the configured federation peer endpoints.
-func (s *System) Peers() []string { return s.cfg.Peers }
+// plane returns the running plane of the given kind, or nil.
+func (s *System) plane(kind PlaneKind) io.Closer {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range s.planes {
+		if p.kind == kind {
+			return p.closer
+		}
+	}
+	return nil
+}
 
 // Federation returns the running peering endpoint, or nil when
 // federation is disabled. Callers needing more than io.Closer — the
 // federation package's *Endpoint with its Stats() — type-assert the
 // result; core itself stays free of that dependency.
-func (s *System) Federation() io.Closer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.federation
-}
+func (s *System) Federation() io.Closer { return s.plane(PlaneFederation) }
 
 // QueryPlane returns the running HTTP/JSON query server, or nil when
 // the query plane is disabled. Callers needing more than io.Closer —
 // the query package's *Server with its Addr() and Stats() —
 // type-assert the result; core itself stays free of that dependency.
-func (s *System) QueryPlane() io.Closer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.query
-}
+func (s *System) QueryPlane() io.Closer { return s.plane(PlaneQuery) }
 
 // Predictor returns the running predictive discovery cache, or nil
 // when prediction is disabled. Callers needing more than io.Closer —
 // the predict package's *Predictor with its Stats() — type-assert the
 // result; core itself stays free of that dependency.
-func (s *System) Predictor() io.Closer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.predictor
-}
+func (s *System) Predictor() io.Closer { return s.plane(PlanePredict) }
 
 // Close stops the monitor, every unit and the bus. It is idempotent and
 // safe to call concurrently: the first call runs the shutdown sequence
@@ -315,12 +280,8 @@ func (s *System) Close() error {
 		units = append(units, u)
 	}
 	s.units = make(map[SDP]Unit)
-	fed := s.federation
-	s.federation = nil
-	qp := s.query
-	s.query = nil
-	pr := s.predictor
-	s.predictor = nil
+	planes := s.planes
+	s.planes = nil
 	s.mu.Unlock()
 
 	var firstErr error
@@ -330,20 +291,12 @@ func (s *System) Close() error {
 		}
 	}
 	close(s.stop)
-	if pr != nil {
-		// Prediction goes before the planes it drives: no prefetch or
-		// refresh may land on a closing query engine or endpoint.
-		keep(pr.Close())
-	}
-	if qp != nil {
-		// The read plane goes before everything: queries should drain
-		// against a view whose writers are still orderly.
-		keep(qp.Close())
-	}
-	if fed != nil {
-		// The peering plane goes first: no remote knowledge should flow
-		// into (or out of) an instance whose units are stopping.
-		keep(fed.Close())
+	for i := len(planes) - 1; i >= 0; i-- {
+		// Reverse start order: a plane closes before the planes it
+		// drives, and all of them before the monitor and units.
+		if c := planes[i].closer; c != nil {
+			keep(c.Close())
+		}
 	}
 	s.monitor.Close()
 	for _, u := range units {

@@ -7,14 +7,13 @@ import (
 	"indiss/internal/core"
 )
 
-// Digest anti-entropy (v3) replaces the full-snapshot re-send: each
-// round an endpoint summarizes its view per origin gateway — live
-// count, order-independent set hash over (key, epoch), max epoch, and
-// the same pair for graves — and sends the summary. The receiver pushes
-// full records only for origins the digest proves diverged, and
-// requests (DIGEST-DIFF) origins the sender knows and it lacks. At
-// quiescence every bucket matches and a round costs one small frame per
-// link, independent of view size.
+// Digest anti-entropy: on connect and each round an endpoint summarizes
+// its view per origin gateway — live count, order-independent set hash
+// over (key, epoch), max epoch, and the same pair for graves — and sends
+// the summary. The receiver pushes full records only for origins the
+// digest proves diverged, and requests (DIGEST-DIFF) origins the sender
+// knows and it lacks. At quiescence every bucket matches and a round
+// costs one small frame per link, independent of view size.
 //
 // Two deliberate exclusions keep the hash convergent: expiry instants
 // (TTLs are re-derived per hop and never compare equal — a lost refresh
@@ -198,7 +197,7 @@ func (e *Endpoint) buildSummariesSlow() map[string]*originAgg {
 	return out
 }
 
-// enqueueDigest sends one anti-entropy digest to a v3 session, with a
+// enqueueDigest sends one anti-entropy digest to a session, with a
 // peer-gossip sample piggybacked.
 func (e *Endpoint) enqueueDigest(s *session) {
 	sums := e.buildSummaries()
@@ -314,7 +313,7 @@ func (e *Endpoint) handleDigestDiff(s *session, d DigestDiff) {
 }
 
 // pushOrigin sends one origin's live records and graves to a session as
-// BATCH frames (v3) and reports whether everything was enqueued. Split
+// BATCH frames and reports whether everything was enqueued. Split
 // horizon still applies per record; the receiving accept filter absorbs
 // whatever it already knows.
 func (e *Endpoint) pushOrigin(s *session, agg *originAgg) bool {
@@ -359,7 +358,7 @@ func (e *Endpoint) pushOrigin(s *session, agg *originAgg) bool {
 	return e.enqueueEntries(s, entries)
 }
 
-// PullOrigins asks every live v3 peer to push its current knowledge of
+// PullOrigins asks every live peer to push its current knowledge of
 // the named origin gateways — records and graves — as if a digest round
 // had just proven them diverged. It is the targeted-refresh entry point
 // for layers above the plane (the predictive cache re-pulls remote
@@ -387,9 +386,6 @@ func (e *Endpoint) PullOrigins(origins []string) int {
 	frame := AppendDigestDiff(nil, DigestDiff{Origins: origins})
 	asked := 0
 	for _, s := range targets {
-		if s.version < 3 {
-			continue // v2 peers have no targeted pull; anti-entropy covers them
-		}
 		if s.enqueue(FrameDigestDiff, frame) {
 			e.stats.digestRequests.Add(uint64(len(origins)))
 			asked++

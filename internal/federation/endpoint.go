@@ -29,8 +29,8 @@ type Config struct {
 	Peers []netapi.Addr
 	// AntiEntropyInterval spaces the periodic re-sync rounds (default
 	// 1s), jittered ±20% per round so a fleet doesn't sync in
-	// lockstep. v3 sessions exchange digests and transfer records only
-	// on proven divergence; v2 sessions still receive full snapshots.
+	// lockstep. Each round sends every peer a digest; records cross the
+	// wire only on proven divergence.
 	AntiEntropyInterval time.Duration
 	// DialRetryInterval spaces reconnection attempts (default 200ms).
 	DialRetryInterval time.Duration
@@ -68,12 +68,6 @@ type Config struct {
 	// where it left off. A gateway with a persistent view store wires
 	// its *viewstore.Store in here. Nil keeps the state memory-only.
 	Persistence Persistence
-	// MaxWireVersion pins the newest protocol version this endpoint
-	// offers in its HELLO (default: Version). Pinning to 2 makes the
-	// endpoint indistinguishable from a v2 peer on the wire — the
-	// rolling-upgrade bridge, since genuine v2 builds refuse HELLOs
-	// above their own version.
-	MaxWireVersion int
 }
 
 func (c Config) antiEntropy() time.Duration {
@@ -112,17 +106,6 @@ func (c Config) sendQueue() int {
 }
 
 func (c Config) maxActivePeers() int { return c.MaxActivePeers }
-
-func (c Config) maxWireVersion() int {
-	v := c.MaxWireVersion
-	if v <= 0 || v > Version {
-		return Version
-	}
-	if v < MinVersion {
-		return MinVersion
-	}
-	return v
-}
 
 // refreshSlack is how much an announced expiry must extend the stored
 // one to count as new knowledge. Anything smaller is an anti-entropy
@@ -333,14 +316,13 @@ func (e *Endpoint) stopped() bool {
 // --- session plumbing ---
 
 // session is one established peering connection, either accepted or
-// dialed, speaking the negotiated protocol version. Its read loop runs
-// on a tracked goroutine; writes go through a bounded outbox drained by
-// a writer goroutine that coalesces queued frames into large writes.
+// dialed. Its read loop runs on a tracked goroutine; writes go through
+// a bounded outbox drained by a writer goroutine that coalesces queued
+// frames into large writes.
 type session struct {
-	ep      *Endpoint
-	stream  netapi.Stream
-	peerID  string
-	version int
+	ep     *Endpoint
+	stream netapi.Stream
+	peerID string
 
 	outbox chan []byte
 	wbuf   []byte // writer-goroutine only
@@ -564,29 +546,29 @@ func (e *Endpoint) dialLoop(peer netapi.Addr) {
 	}
 }
 
-// runSession performs the HELLO handshake (negotiating the session
-// down to the older of the two versions), registers the session, syncs
-// on connect — a digest for v3 peers, the full snapshot for v2 — and
+// runSession performs the HELLO handshake (refusing peers older than
+// Version), registers the session, syncs on connect with a digest, and
 // then consumes frames until the connection or the endpoint dies.
 // dialedAddr is the peer's listener address when we initiated; for
 // accepted sessions the peer's HELLO carries its own.
 func (e *Endpoint) runSession(stream netapi.Stream, dialedAddr string) {
 	stream.SetReadTimeout(e.cfg.readTimeout())
 	s := &session{
-		ep:     e,
-		stream: stream,
-		outbox: make(chan []byte, e.cfg.sendQueue()),
-		done:   make(chan struct{}),
+		ep:       e,
+		stream:   stream,
+		outbox:   make(chan []byte, e.cfg.sendQueue()),
+		pushMemo: make(map[string]pushMemo),
+		reqMemo:  make(map[string]reqMemo),
+		done:     make(chan struct{}),
 	}
 	defer s.close()
 
-	maxV := e.cfg.maxWireVersion()
-	hello := Hello{Version: uint8(maxV), GatewayID: e.cfg.GatewayID}
-	if maxV >= 3 {
-		hello.ListenAddr = e.Addr().String()
-		hello.Peers = e.peerSample("", gossipSampleSize)
-	}
-	hb := AppendHello(nil, hello)
+	hb := AppendHello(nil, Hello{
+		Version:    Version,
+		GatewayID:  e.cfg.GatewayID,
+		ListenAddr: e.Addr().String(),
+		Peers:      e.peerSample("", gossipSampleSize),
+	})
 	if _, err := stream.Write(hb); err != nil {
 		return
 	}
@@ -597,15 +579,10 @@ func (e *Endpoint) runSession(stream netapi.Stream, dialedAddr string) {
 		return
 	}
 	h, err := ParseHello(payload)
-	if err != nil || int(h.Version) < MinVersion || h.GatewayID == e.cfg.GatewayID {
-		return // incompatible peer, or we dialed ourselves
+	if err != nil || h.Version < Version || h.GatewayID == e.cfg.GatewayID {
+		return // older peer, or we dialed ourselves
 	}
 	s.peerID = h.GatewayID
-	s.version = min(maxV, int(h.Version))
-	if s.version >= 3 {
-		s.pushMemo = make(map[string]pushMemo)
-		s.reqMemo = make(map[string]reqMemo)
-	}
 
 	// Overlay learning: the peer itself (at its dialed or self-reported
 	// listener address) and its gossiped sample.
@@ -643,13 +620,9 @@ func (e *Endpoint) runSession(stream netapi.Stream, dialedAddr string) {
 	e.wg.Add(1)
 	go func() { defer e.wg.Done(); s.writeLoop() }()
 
-	// Sync on connect: v3 peers exchange digests and transfer only the
-	// divergence; v2 peers get everything we know, graves included.
-	if s.version >= 3 {
-		e.enqueueDigest(s)
-	} else {
-		e.sendSnapshot(s)
-	}
+	// Sync on connect: exchange digests and transfer only the
+	// divergence.
+	e.enqueueDigest(s)
 
 	buf := payload
 	for {
@@ -672,9 +645,6 @@ func (e *Endpoint) runSession(stream netapi.Stream, dialedAddr string) {
 			}
 			e.handleWithdraw(s, w)
 		case FrameBatch:
-			if s.version < 3 {
-				return
-			}
 			entries, err := ParseBatch(p)
 			if err != nil {
 				return
@@ -689,18 +659,12 @@ func (e *Endpoint) runSession(stream netapi.Stream, dialedAddr string) {
 				}
 			}
 		case FrameDigest:
-			if s.version < 3 {
-				return
-			}
 			d, err := ParseDigest(p)
 			if err != nil {
 				return
 			}
 			e.handleDigest(s, d)
 		case FrameDigestDiff:
-			if s.version < 3 {
-				return
-			}
 			d, err := ParseDigestDiff(p)
 			if err != nil {
 				return
@@ -780,65 +744,6 @@ func min64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// sendSnapshot announces every live record to one v2 peer — and
-// re-sends every active withdrawal tombstone as a WITHDRAW frame. The
-// negative half matters as much as the positive one: a peer that missed
-// a withdrawal while partitioned or down may hold a stale copy it will
-// never announce to us (split horizon skips the record's own origin
-// gateway), so waiting to reject its announce is not enough — the
-// snapshot itself must carry the graves. v3 sessions never take this
-// path; their graves ride the digest and cross the wire only on
-// divergence.
-func (e *Endpoint) sendSnapshot(s *session) {
-	now := time.Now()
-	recs := e.view.Find("", now)
-	e.mu.Lock()
-	tombs := make([]tombstone, 0, len(e.tombs))
-	for _, t := range e.tombs {
-		if t.expires.After(now) {
-			tombs = append(tombs, t)
-		}
-	}
-	e.mu.Unlock()
-
-	for _, rec := range recs {
-		if e.skipForPeer(rec, s) {
-			continue
-		}
-		a, ok := e.announceFor(rec)
-		if !ok {
-			continue
-		}
-		s.enqueue(FrameAnnounce, AppendAnnounce(nil, a))
-	}
-	if p := e.cfg.Persistence; p != nil {
-		// Budget-spilled records are live knowledge too; Find skipped
-		// them, so resolve each through the view's cold-tier lookup.
-		for _, sp := range p.Spilled(now) {
-			rec, ok := e.view.Get(core.SDP(sp.Origin), sp.URL)
-			if !ok || e.skipForPeer(rec, s) {
-				continue
-			}
-			a, ok := e.announceFor(rec)
-			if !ok {
-				continue
-			}
-			s.enqueue(FrameAnnounce, AppendAnnounce(nil, a))
-		}
-	}
-	for _, t := range tombs {
-		w := Withdraw{
-			OriginGW: t.originGW,
-			Origin:   t.origin,
-			Kind:     t.kind,
-			URL:      t.url,
-			TTL:      ttlMillis(time.Until(t.expires)),
-			Epoch:    t.epoch,
-		}
-		s.enqueue(FrameWithdraw, AppendWithdraw(nil, w))
-	}
 }
 
 // skipForPeer applies split horizon: a record is never announced back to
@@ -1078,8 +983,8 @@ type pendingDelta struct {
 
 // distribute turns view delta batches into batched floods. Each flush
 // window drains everything queued (and, with FlushInterval set, waits
-// out the window collecting more), coalesces per record, then emits one
-// BATCH frame per v3 peer — per-record frames for v2 peers.
+// out the window collecting more), coalesces per record, then emits
+// BATCH frames to every peer.
 func (e *Endpoint) distribute(batches <-chan []core.Delta) {
 	for {
 		first, ok := <-batches
@@ -1254,27 +1159,11 @@ func (e *Endpoint) flushDeltas(order []string, pending map[string]*pendingDelta)
 	}
 }
 
-// enqueueEntries sends a run of deltas to one session in its wire
-// dialect: BATCH frames (chunked under the payload cap) for v3,
-// per-record frames for v2. It reports whether everything was enqueued.
+// enqueueEntries sends a run of deltas to one session as BATCH frames,
+// chunked under the payload cap. It reports whether everything was
+// enqueued.
 func (e *Endpoint) enqueueEntries(s *session, entries []BatchEntry) bool {
 	ok := true
-	if s.version < 3 {
-		for i := range entries {
-			en := &entries[i]
-			switch {
-			case en.Announce != nil:
-				if !s.enqueue(FrameAnnounce, AppendAnnounce(nil, *en.Announce)) {
-					ok = false
-				}
-			case en.Withdraw != nil:
-				if !s.enqueue(FrameWithdraw, AppendWithdraw(nil, *en.Withdraw)) {
-					ok = false
-				}
-			}
-		}
-		return ok
-	}
 	for len(entries) > 0 {
 		n := min(len(entries), maxFlushBatch)
 		chunk := entries[:n]
@@ -1323,10 +1212,10 @@ func jitterInterval(base time.Duration) time.Duration {
 	return time.Duration(float64(base) * (0.8 + 0.4*rand.Float64()))
 }
 
-// antiEntropyLoop periodically repairs divergence: digests to v3
-// peers (records cross the wire only when a digest proves them missing
-// or stale), full snapshots to v2 peers. Each round also prunes dead
-// split-horizon and grave state and tops up the overlay.
+// antiEntropyLoop periodically repairs divergence by sending every
+// peer a digest; records cross the wire only when a digest proves them
+// missing or stale. Each round also prunes dead split-horizon and
+// grave state and tops up the overlay.
 func (e *Endpoint) antiEntropyLoop() {
 	for {
 		timer := time.NewTimer(jitterInterval(e.cfg.antiEntropy()))
@@ -1343,11 +1232,7 @@ func (e *Endpoint) antiEntropyLoop() {
 		}
 		e.mu.Unlock()
 		for _, s := range targets {
-			if s.version >= 3 {
-				e.enqueueDigest(s)
-			} else {
-				e.sendSnapshot(s)
-			}
+			e.enqueueDigest(s)
 		}
 		e.pruneLearned()
 		e.pruneTombs()

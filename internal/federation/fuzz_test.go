@@ -9,7 +9,8 @@ import (
 // payload parser: none may panic, and anything that parses must
 // re-marshal into a payload that parses back to the same value.
 func FuzzParseFrame(f *testing.F) {
-	f.Add(AppendHello(nil, Hello{Version: 1, GatewayID: "gw"}))
+	f.Add(AppendHello(nil, Hello{Version: Version, GatewayID: "gw", ListenAddr: "10.0.1.9:7741",
+		Peers: []PeerInfo{{ID: "gw2", Addr: "10.0.2.9:7741"}}}))
 	f.Add(AppendAnnounce(nil, Announce{
 		OriginGW: "gw", Hops: 2, Origin: "SLP", Kind: "clock",
 		URL: "service:clock://10.0.0.2", TTL: 1000,
@@ -68,7 +69,8 @@ func FuzzParseFrame(f *testing.F) {
 	})
 }
 
-// FuzzParseBatchDigest exercises the v3 codec: BATCH, DIGEST and
+// FuzzParseBatchDigest exercises the batch and digest codec: BATCH,
+// DIGEST and
 // DIGEST-DIFF payloads must never panic, and any payload that parses
 // must survive a remarshal round trip value-for-value.
 func FuzzParseBatchDigest(f *testing.F) {

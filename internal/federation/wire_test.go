@@ -8,13 +8,15 @@ import (
 )
 
 func TestHelloRoundTrip(t *testing.T) {
-	frame := AppendHello(nil, Hello{Version: Version, GatewayID: "gw-a"})
+	in := Hello{Version: Version, GatewayID: "gw-a", ListenAddr: "10.0.1.9:7741",
+		Peers: []PeerInfo{{ID: "gw-b", Addr: "10.0.2.9:7741"}}}
+	frame := AppendHello(nil, in)
 	ft, n, err := ParseFrameHeader(frame)
 	if err != nil || ft != FrameHello || n != len(frame)-frameHeaderLen {
 		t.Fatalf("header: %v %v %v", ft, n, err)
 	}
 	h, err := ParseHello(frame[frameHeaderLen:])
-	if err != nil || h.Version != Version || h.GatewayID != "gw-a" {
+	if err != nil || !reflect.DeepEqual(h, in) {
 		t.Fatalf("hello = %+v, %v", h, err)
 	}
 }
@@ -68,7 +70,7 @@ func TestWithdrawRoundTrip(t *testing.T) {
 
 func TestReadFrameSequence(t *testing.T) {
 	var stream []byte
-	stream = AppendHello(stream, Hello{Version: 1, GatewayID: "a"})
+	stream = AppendHello(stream, Hello{Version: Version, GatewayID: "a", ListenAddr: "10.0.1.9:7741"})
 	stream = AppendAnnounce(stream, Announce{OriginGW: "a", Origin: "SLP", Kind: "k", URL: "u", TTL: 5})
 	stream = AppendWithdraw(stream, Withdraw{OriginGW: "a", Origin: "SLP", Kind: "k", URL: "u"})
 

@@ -126,7 +126,7 @@ type Refresher interface {
 }
 
 // Predictor is a running predictive cache. It satisfies io.Closer for
-// core's PredictHook.
+// its core.Plane.
 type Predictor struct {
 	cfg  Config
 	view *core.ServiceView

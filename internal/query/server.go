@@ -52,7 +52,7 @@ type Server struct {
 }
 
 // New binds the query port and starts serving. The returned server
-// satisfies io.Closer for the core system's QueryHook.
+// satisfies io.Closer for its core.Plane.
 func New(stack netapi.Stack, view *core.ServiceView, cfg Config) (*Server, error) {
 	port := cfg.ListenPort
 	switch {

@@ -111,8 +111,7 @@ func (n *Network) setCut(a, b string, cut bool) error {
 	// reset. Streams still routed (a mesh detour exists) are untouched.
 	for _, h := range hosts {
 		h.mu.Lock()
-		streams := make([]*Stream, len(h.streams))
-		copy(streams, h.streams)
+		streams := h.streamsLocked()
 		h.mu.Unlock()
 		for _, s := range streams {
 			if _, routed := n.resolvePath(s.local, s.remote); !routed {
@@ -166,8 +165,7 @@ func (h *Host) SetDown(down bool) {
 	h.down = down
 	var streams []*Stream
 	if down {
-		streams = make([]*Stream, len(h.streams))
-		copy(streams, h.streams)
+		streams = h.streamsLocked()
 	}
 	h.mu.Unlock()
 
@@ -189,12 +187,15 @@ func (h *Host) Down() bool {
 // shut down at once, so each endpoint's reads drain and then EOF, writes
 // from this endpoint fail, and writes from the peer are silently
 // discarded — TCP until the retransmission timeout, without the wait.
+// Nothing is left to break, so both endpoints leave their hosts' lists.
 func (s *Stream) reset() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
 	s.in.shutdown()
 	s.out.shutdown()
+	s.forget()
+	s.peer.forget()
 }
 
 // Flap takes the host down for d, then brings it back — a convenience

@@ -286,6 +286,76 @@ func TestPartitionBreaksCrossingStreams(t *testing.T) {
 	}
 }
 
+// streamCount is how many stream endpoints h still lists.
+func streamCount(h *Host) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.streams)
+}
+
+// TestClosedStreamsLeaveHostLists: a host lists only its open stream
+// endpoints. Closed and crash-broken streams leave both hosts' lists,
+// so a long run of short connections holds no buffers, and a later
+// partition still breaks the stream that is open.
+func TestClosedStreamsLeaveHostLists(t *testing.T) {
+	n, ha, _, hc := chain3(t)
+	l, err := hc.ListenTCP(7000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func() (netapi.Stream, netapi.Stream) {
+		t.Helper()
+		dialed, err := ha.DialTCP(Addr{IP: hc.IP(), Port: 7000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted, err := l.(*Listener).AcceptTimeout(time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dialed, accepted
+	}
+
+	const cycles = 50
+	for i := 0; i < cycles; i++ {
+		dialed, accepted := dial()
+		if _, err := dialed.Write([]byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+		dialed.Close()
+		accepted.Close()
+	}
+	if a, c := streamCount(ha), streamCount(hc); a != 0 || c != 0 {
+		t.Fatalf("after %d dial/close cycles: ha lists %d streams, hc %d; want 0", cycles, a, c)
+	}
+
+	// A crash breaks the stream for both ends: neither host keeps it.
+	dial()
+	n.SetHostDown("hc", true)
+	n.SetHostDown("hc", false)
+	if a, c := streamCount(ha), streamCount(hc); a != 0 || c != 0 {
+		t.Fatalf("after a crash: ha lists %d streams, hc %d; want 0", a, c)
+	}
+
+	// The one open stream is still listed, and a partition breaks it.
+	dialed, accepted := dial()
+	if a, c := streamCount(ha), streamCount(hc); a != 1 || c != 1 {
+		t.Fatalf("open stream: ha lists %d streams, hc %d; want 1 each", a, c)
+	}
+	if err := n.Partition("A", "B"); err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]netapi.Stream{"dialer": dialed, "acceptor": accepted} {
+		s.SetReadTimeout(time.Second)
+		if _, err := s.Read(make([]byte, 1)); err == nil || errors.Is(err, ErrTimeout) {
+			t.Fatalf("%s read across partition: err = %v, want EOF", name, err)
+		}
+	}
+	if a, c := streamCount(ha), streamCount(hc); a != 0 || c != 0 {
+		t.Fatalf("after a partition: ha lists %d streams, hc %d; want 0", a, c)
+	}
+}
+
 // TestFaultInjectionRaces hammers every fault injector against live
 // traffic; the race detector is the assertion.
 func TestFaultInjectionRaces(t *testing.T) {

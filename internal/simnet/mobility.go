@@ -51,8 +51,7 @@ func (n *Network) MoveHost(name, seg string) error {
 	// the host mutex, reset outside it (the setCut pattern): a reset
 	// wakes readers that may immediately re-dial and take h.mu.
 	h.mu.Lock()
-	streams := make([]*Stream, len(h.streams))
-	copy(streams, h.streams)
+	streams := h.streamsLocked()
 	h.mu.Unlock()
 	for _, s := range streams {
 		s.reset()

@@ -155,6 +155,7 @@ func (n *Network) addHostLocked(name, ip, seg string) (*Host, error) {
 		udp:       make(map[int]*UDPConn),
 		mcast:     make(map[int][]*UDPConn),
 		listeners: make(map[int]*Listener),
+		streams:   make(map[*Stream]struct{}),
 	}
 	h.seg.Store(&seg)
 	n.hosts[ip] = h
@@ -290,7 +291,7 @@ type Host struct {
 	udp       map[int]*UDPConn
 	mcast     map[int][]*UDPConn // shared multicast-only binders per port
 	listeners map[int]*Listener
-	streams   []*Stream
+	streams   map[*Stream]struct{} // open local stream endpoints
 	closed    bool
 	down      bool // crashed (faults.go); bindings survive, traffic drops
 }
@@ -325,8 +326,7 @@ func (h *Host) close() {
 	for _, l := range h.listeners {
 		listeners = append(listeners, l)
 	}
-	streams := make([]*Stream, len(h.streams))
-	copy(streams, h.streams)
+	streams := h.streamsLocked()
 	h.closed = true
 	h.mu.Unlock()
 

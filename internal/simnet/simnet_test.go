@@ -526,10 +526,14 @@ func TestQueueOverflowDrops(t *testing.T) {
 			t.Fatalf("WriteTo: %v", err)
 		}
 	}
+	// Read only once every packet is accounted for: a read while the
+	// scheduler is still delivering frees a slot for a later packet.
+	wantDrops := int64(total - udpQueueCap)
 	deadline := time.Now().Add(2 * time.Second)
-	for n.Metrics().Port(9).DroppedPackets == 0 {
+	for n.Metrics().Port(9).DroppedPackets != wantDrops {
 		if time.Now().After(deadline) {
-			t.Fatal("no drops recorded after queue overflow")
+			t.Fatalf("dropped %d packets after queue overflow, want %d",
+				n.Metrics().Port(9).DroppedPackets, wantDrops)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -132,20 +132,44 @@ func (h *Host) DialTCP(addr Addr) (netapi.Stream, error) {
 	}
 
 	local, remote := newStreamPair(h, to, addr)
+	// Listed before either end is handed out, so a Close racing the
+	// hand-off always finds its endpoint to remove.
+	h.adoptStream(local)
+	to.adoptStream(remote)
 	select {
 	case l.backlog <- remote:
 	case <-l.done:
+		local.forget()
+		remote.forget()
 		return nil, fmt.Errorf("%w: %s", ErrConnRefused, addr)
 	}
-	h.adoptStream(local)
-	to.adoptStream(remote)
 	n.metrics.addTCPConn(addr.Port)
 	return local, nil
 }
 
+// adoptStream lists an open stream endpoint on its host, so partition,
+// crash, Move and host close can break it.
 func (h *Host) adoptStream(s *Stream) {
 	h.mu.Lock()
-	h.streams = append(h.streams, s)
+	h.streams[s] = struct{}{}
+	h.mu.Unlock()
+}
+
+// streamsLocked snapshots the host's open stream endpoints. Requires
+// h.mu.
+func (h *Host) streamsLocked() []*Stream {
+	out := make([]*Stream, 0, len(h.streams))
+	for s := range h.streams {
+		out = append(out, s)
+	}
+	return out
+}
+
+// forget removes a closed or broken endpoint from its host's list.
+func (s *Stream) forget() {
+	h := s.local
+	h.mu.Lock()
+	delete(h.streams, s)
 	h.mu.Unlock()
 }
 
@@ -228,8 +252,9 @@ type Stream struct {
 	localAddr  Addr
 	remoteAddr Addr
 
-	in  *halfConn // bytes arriving here
-	out *halfConn // peer's in
+	in   *halfConn // bytes arriving here
+	out  *halfConn // peer's in
+	peer *Stream   // the other endpoint
 
 	mu          sync.Mutex
 	closed      bool
@@ -258,7 +283,9 @@ func newStreamPair(dialer, acceptor *Host, addr Addr) (local, remote *Stream) {
 		local: acceptor, remote: dialer,
 		localAddr: addr, remoteAddr: dialerAddr,
 		in: b, out: a,
+		peer: local,
 	}
+	local.peer = remote
 	return local, remote
 }
 
@@ -333,6 +360,7 @@ func (s *Stream) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
+	s.forget()
 
 	// EOF must arrive after any in-flight data: the FIN rides the
 	// scheduler like a normal segment and respects the send clock.
