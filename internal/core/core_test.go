@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
@@ -68,6 +69,59 @@ func TestRateMeter(t *testing.T) {
 	}
 	if m.Total() != 1000 {
 		t.Errorf("total = %d", m.Total())
+	}
+}
+
+// TestRateMeterMatchesBruteForce drives the queue-based meter with random
+// time-ordered observations over several windows — bursts at one instant,
+// gaps longer than the window, and queries exactly at a sample's cutoff —
+// and checks Rate against a brute-force sum over the window at each step.
+func TestRateMeterMatchesBruteForce(t *testing.T) {
+	const window = time.Second
+	rng := rand.New(rand.NewPCG(1, 2))
+	m := NewRateMeter(window)
+	type sample struct {
+		at   time.Time
+		size int
+	}
+	var all []sample
+	var total int64
+	want := func(now time.Time) float64 {
+		var sum int64
+		for _, s := range all {
+			if s.at.After(now.Add(-window)) {
+				sum += int64(s.size)
+			}
+		}
+		return float64(sum) / window.Seconds()
+	}
+	now := time.Unix(1_000_000, 0)
+	for step := 0; step < 5000; step++ {
+		switch r := rng.IntN(100); {
+		case r < 5: // a gap longer than the window
+			now = now.Add(window + time.Duration(rng.IntN(1000))*time.Millisecond)
+		case r < 25: // a burst: same instant as the previous sample
+		default:
+			now = now.Add(time.Duration(rng.IntN(50_000)) * time.Microsecond)
+		}
+		size := rng.IntN(1500)
+		m.Observe(now, size)
+		all = append(all, sample{now, size})
+		total += int64(size)
+		if got, w := m.Rate(now), want(now); got != w {
+			t.Fatalf("step %d: Rate(now) = %v, brute force %v", step, got, w)
+		}
+		// Exactly at an earlier sample's cutoff: that sample has left.
+		old := all[rng.IntN(len(all))].at
+		if at := old.Add(window); !at.Before(now) {
+			if got, w := m.Rate(at), want(at); got != w {
+				t.Fatalf("step %d: Rate(cutoff) = %v, brute force %v", step, got, w)
+			}
+			now = at // the query slid the window; later samples follow it
+		}
+	}
+	if m.Total() != total {
+		t.Errorf("Total = %d, want %d", m.Total(), total)
 	}
 }
 

@@ -110,10 +110,20 @@ func (t *CorrespondenceTable) Restrict(ports []int) (*CorrespondenceTable, error
 // RateMeter measures traffic rate over a sliding window, supporting the
 // §4.2 adaptation policy ("a network traffic threshold below which INDISS
 // … must become active").
+//
+// Samples arrive in time order, so the window is a queue: samples[head:]
+// are live, sum is their byte total, and sliding the window pops expired
+// heads. Observe and Rate are O(1) amortized and allocate nothing once the
+// queue's backing array has grown to the window's peak. (An SDP scanned on
+// several ports, like SLP, has one scan goroutine per port; one that loses
+// the race to the monitor's lock by a few microseconds enqueues behind a
+// newer sample and leaves the window at most that much late.)
 type RateMeter struct {
 	mu      sync.Mutex
 	window  time.Duration
 	samples []rateSample
+	head    int
+	sum     int64
 	total   int64
 }
 
@@ -135,6 +145,7 @@ func (m *RateMeter) Observe(now time.Time, size int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.samples = append(m.samples, rateSample{at: now, size: int64(size)})
+	m.sum += int64(size)
 	m.total += int64(size)
 	m.trim(now)
 }
@@ -144,11 +155,7 @@ func (m *RateMeter) Rate(now time.Time) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.trim(now)
-	var sum int64
-	for _, s := range m.samples {
-		sum += s.size
-	}
-	return float64(sum) / m.window.Seconds()
+	return float64(m.sum) / m.window.Seconds()
 }
 
 // Total returns all bytes ever observed.
@@ -158,13 +165,18 @@ func (m *RateMeter) Total() int64 {
 	return m.total
 }
 
+// trim pops the samples at or before now-window off the queue head, and
+// slides the live tail to the front of the backing array once the popped
+// prefix is at least half of it, so append reuses the array instead of
+// growing it without end.
 func (m *RateMeter) trim(now time.Time) {
 	cutoff := now.Add(-m.window)
-	keep := m.samples[:0]
-	for _, s := range m.samples {
-		if s.at.After(cutoff) {
-			keep = append(keep, s)
-		}
+	for m.head < len(m.samples) && !m.samples[m.head].at.After(cutoff) {
+		m.sum -= m.samples[m.head].size
+		m.head++
 	}
-	m.samples = keep
+	if m.head > 0 && 2*m.head >= len(m.samples) {
+		m.samples = m.samples[:copy(m.samples, m.samples[m.head:])]
+		m.head = 0
+	}
 }

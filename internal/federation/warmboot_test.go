@@ -180,11 +180,11 @@ func TestWarmBootKeepsKnowledgeWithoutRelearning(t *testing.T) {
 	for i := range st2.Recovered().Records {
 		r := &st2.Recovered().Records[i]
 		viewB2.Put(core.ServiceRecord{
-			Origin:  core.SDP(r.Origin),
-			Kind:    r.Kind,
-			URL:     r.URL,
-			Attrs:   r.Attrs,
-			Expires: time.UnixMilli(r.Expires),
+			Origin:   core.SDP(r.Origin),
+			Kind:     r.Kind,
+			URL:      r.URL,
+			Attrs:    r.Attrs,
+			Expires:  time.UnixMilli(r.Expires),
 			OriginGW: r.OriginGW,
 			Hops:     int(r.Hops),
 			Remote:   r.Remote,

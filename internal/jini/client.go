@@ -37,38 +37,39 @@ func (c *Client) delay() {
 // DiscoverLookup runs the multicast request protocol and returns the first
 // lookup service heard.
 func (c *Client) DiscoverLookup(timeout time.Duration) (Locator, error) {
-	loc, _, err := c.DiscoverLookupGroups(timeout)
-	return loc, err
+	return c.DiscoverLookupWhere(timeout, nil)
 }
 
-// DiscoverLookupGroups is DiscoverLookup returning also the groups the
-// answering lookup service announced — callers that must distinguish
-// kinds of registrars (the INDISS bridge tags its own) need them.
-func (c *Client) DiscoverLookupGroups(timeout time.Duration) (Locator, []string, error) {
+// DiscoverLookupWhere is DiscoverLookup returning the first lookup service
+// that accept admits, given its locator and announced groups — callers
+// that must skip kinds of registrars (the INDISS bridge tags its own)
+// need it. One request is multicast; rejected answers are dropped and the
+// same socket keeps listening until the timeout. A nil accept admits any.
+func (c *Client) DiscoverLookupWhere(timeout time.Duration, accept func(Locator, []string) bool) (Locator, error) {
 	conn, err := c.host.ListenUDP(0)
 	if err != nil {
-		return Locator{}, nil, fmt.Errorf("jini client: %w", err)
+		return Locator{}, fmt.Errorf("jini client: %w", err)
 	}
 	defer conn.Close()
 
 	req := request{Groups: c.cfg.Groups, ResponsePort: conn.LocalAddr().Port}
 	data, err := marshalRequest(req)
 	if err != nil {
-		return Locator{}, nil, err
+		return Locator{}, err
 	}
 	c.delay()
 	if err := conn.WriteTo(data, netapi.Addr{IP: RequestGroup, Port: Port}); err != nil {
-		return Locator{}, nil, err
+		return Locator{}, err
 	}
 	deadline := time.Now().Add(timeout)
 	for {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			return Locator{}, nil, netapi.ErrTimeout
+			return Locator{}, netapi.ErrTimeout
 		}
 		dg, err := conn.Recv(remaining)
 		if err != nil {
-			return Locator{}, nil, err
+			return Locator{}, err
 		}
 		kind, r, err := openPacket(dg.Payload)
 		if err != nil || kind != kindAnnounce {
@@ -78,8 +79,11 @@ func (c *Client) DiscoverLookupGroups(timeout time.Duration) (Locator, []string,
 		if err != nil {
 			continue
 		}
+		if accept != nil && !accept(ann.Locator, ann.Groups) {
+			continue
+		}
 		c.delay()
-		return ann.Locator, ann.Groups, nil
+		return ann.Locator, nil
 	}
 }
 

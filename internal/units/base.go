@@ -71,6 +71,12 @@ type pending struct {
 	expires time.Time
 }
 
+// pendingExpiry is one expiry-queue slot of the pending table.
+type pendingExpiry struct {
+	reqID   string
+	expires time.Time
+}
+
 // base carries the plumbing every unit shares: context, pending-request
 // table, re-advertisement flag, lifecycle, and the composer dispatch that
 // enforces the pooled-envelope release protocol in one place.
@@ -89,9 +95,14 @@ type base struct {
 	mu       sync.Mutex
 	ctx      *core.UnitContext
 	pendings map[string]*pending
-	answered map[string]time.Time // reqIDs already replied (first wins)
-	readv    bool
-	stopped  bool
+	// expiry[expiryHead:] lists pending entries in insertion order,
+	// which is expiry order too (every entry lives pendingTTL). It holds
+	// ids, not entries, so a taken request's reply context is
+	// garbage as soon as takePending drops it from the map.
+	expiry     []pendingExpiry
+	expiryHead int
+	readv      bool
+	stopped    bool
 
 	wg sync.WaitGroup
 }
@@ -101,7 +112,6 @@ func newBase(name string, sdp core.SDP) *base {
 		name:     name,
 		sdp:      sdp,
 		pendings: make(map[string]*pending),
-		answered: make(map[string]time.Time),
 	}
 }
 
@@ -150,26 +160,43 @@ func (b *base) isStopped() bool {
 }
 
 // addPending records a foreign request awaiting translation.
-func (b *base) addPending(p *pending) {
-	now := time.Now()
+func (b *base) addPending(p *pending) { b.addPendingAt(p, time.Now()) }
+
+// addPendingAt is addPending at a given time. Expiring the table first
+// costs O(1) amortized: only the queue's expired head is visited.
+func (b *base) addPendingAt(p *pending, now time.Time) {
 	p.expires = now.Add(pendingTTL)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for id, old := range b.pendings {
-		if !old.expires.After(now) {
-			delete(b.pendings, id)
-		}
-	}
-	for id, at := range b.answered {
-		if now.Sub(at) > pendingTTL {
-			delete(b.answered, id)
-		}
-	}
+	b.expirePendingsLocked(now)
 	b.pendings[p.reqID] = p
+	b.expiry = append(b.expiry, pendingExpiry{reqID: p.reqID, expires: p.expires})
 }
 
-// takePending claims the pending entry for a response stream. Only the
-// first response for a request wins; later ones report false.
+// expirePendingsLocked pops the expired head of the expiry queue. A popped
+// id leaves the map only if its current entry has expired too: a reqID
+// re-added since (a client re-sending its search) outlives its older
+// queue slot. The live tail slides to the front of the backing array once
+// the popped prefix is at least half of it, so append reuses the array.
+// Requires b.mu.
+func (b *base) expirePendingsLocked(now time.Time) {
+	for b.expiryHead < len(b.expiry) && !b.expiry[b.expiryHead].expires.After(now) {
+		id := b.expiry[b.expiryHead].reqID
+		if p, ok := b.pendings[id]; ok && !p.expires.After(now) {
+			delete(b.pendings, id)
+		}
+		b.expiry[b.expiryHead] = pendingExpiry{}
+		b.expiryHead++
+	}
+	if b.expiryHead > 0 && 2*b.expiryHead >= len(b.expiry) {
+		b.expiry = b.expiry[:copy(b.expiry, b.expiry[b.expiryHead:])]
+		b.expiryHead = 0
+	}
+}
+
+// takePending claims the pending entry for a response stream. Deleting
+// the entry is what makes the first response win: later ones for the
+// same request find nothing and report false.
 func (b *base) takePending(reqID string) (*pending, bool) {
 	now := time.Now()
 	b.mu.Lock()
@@ -179,7 +206,6 @@ func (b *base) takePending(reqID string) (*pending, bool) {
 		return nil, false
 	}
 	delete(b.pendings, reqID)
-	b.answered[reqID] = now
 	return p, true
 }
 

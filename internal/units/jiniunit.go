@@ -314,25 +314,20 @@ func (u *JiniUnit) findNativeLookup() (jini.Locator, bool) {
 		return loc, true
 	}
 	u.nativeMu.Unlock()
+	// One discovery request; answers from the bridge's own registrar and
+	// from peer gateways' bridge registrars are not native infrastructure,
+	// so they are skipped while the same socket listens on.
 	own := u.registrar.Locator()
-	deadline := time.Now().Add(u.cfg.QueryTimeout)
-	for time.Now().Before(deadline) {
-		found, groups, err := u.client.DiscoverLookupGroups(time.Until(deadline))
-		if err != nil {
-			return jini.Locator{}, false
-		}
-		if found.Host == own.Host && found.Port == own.Port {
-			continue // our own registrar answered; keep listening
-		}
-		if isBridgeRegistrar(groups) {
-			continue // a peer gateway's bridge registrar, not native infra
-		}
-		u.nativeMu.Lock()
-		u.adoptLocatorLocked(found)
-		u.nativeMu.Unlock()
-		return found, true
+	found, err := u.client.DiscoverLookupWhere(u.cfg.QueryTimeout, func(loc jini.Locator, groups []string) bool {
+		return loc != own && !isBridgeRegistrar(groups)
+	})
+	if err != nil {
+		return jini.Locator{}, false
 	}
-	return jini.Locator{}, false
+	u.nativeMu.Lock()
+	u.adoptLocatorLocked(found)
+	u.nativeMu.Unlock()
+	return found, true
 }
 
 // isBridgeRegistrar reports whether announced groups mark an INDISS

@@ -46,10 +46,10 @@ type UPnPUnit struct {
 	descAddr netapi.Addr
 	queryFSM *fsm.Machine
 
-	descMu    sync.Mutex
-	descDocs  map[string][]byte // path → synthesized description
-	descPaths map[string]string // origin|url → path
-	descSeq   int
+	descMu   sync.Mutex
+	descDocs map[string][]byte      // path → synthesized description
+	descs    map[string]*bridgeDesc // origin|url → its description entry
+	descSeq  int
 
 	stop chan struct{}
 }
@@ -69,12 +69,12 @@ func NewUPnPUnit(cfg UPnPUnitConfig) *UPnPUnit {
 		cfg.AnnounceInterval = 500 * time.Millisecond
 	}
 	u := &UPnPUnit{
-		base:      newBase("upnp-unit", core.SDPUPnP),
-		cfg:       cfg,
-		queryFSM:  buildUPnPQueryFSM(),
-		descDocs:  make(map[string][]byte),
-		descPaths: make(map[string]string),
-		stop:      make(chan struct{}),
+		base:     newBase("upnp-unit", core.SDPUPnP),
+		cfg:      cfg,
+		queryFSM: buildUPnPQueryFSM(),
+		descDocs: make(map[string][]byte),
+		descs:    make(map[string]*bridgeDesc),
+		stop:     make(chan struct{}),
 	}
 	u.onRequest = u.queryNative
 	u.onOther = u.composeOther
@@ -523,6 +523,16 @@ func ttlOrDefault(expires time.Time) int {
 	return secs
 }
 
+// bridgeDesc is the synthesized description of one foreign service. Its
+// path, UDN and location are fixed when the service is first bridged, so
+// its USN never changes as other services arrive; the document is
+// re-marshalled only when one of the inputs that can vary for the same
+// origin|url — the kind's base and the friendlyName attribute — does.
+type bridgeDesc struct {
+	path, udn, location, usn string
+	kindBase, friendlyAttr   string
+}
+
 // ensureDescription registers (idempotently) a synthesized description
 // document for a foreign service and returns its location URL and USN.
 func (u *UPnPUnit) ensureDescription(rec core.ServiceRecord) (location, usn string) {
@@ -531,17 +541,27 @@ func (u *UPnPUnit) ensureDescription(rec core.ServiceRecord) (location, usn stri
 	if kindBase == "" {
 		kindBase = "service"
 	}
+	friendlyAttr := rec.Attrs["friendlyName"]
 
 	u.descMu.Lock()
 	defer u.descMu.Unlock()
-	path, ok := u.descPaths[key]
+	d, ok := u.descs[key]
+	if ok && d.kindBase == kindBase && d.friendlyAttr == friendlyAttr {
+		return d.location, d.usn
+	}
 	if !ok {
 		u.descSeq++
-		path = fmt.Sprintf("/bridge/%s-%d/description.xml", kindBase, u.descSeq)
-		u.descPaths[key] = path
+		seq := strconv.Itoa(u.descSeq)
+		d = &bridgeDesc{
+			path: "/bridge/" + kindBase + "-" + seq + "/description.xml",
+			udn:  bridgeUSNPrefix + "-" + kindBase + "-" + seq,
+		}
+		d.location = upnp.HTTPURL(u.descAddr, d.path)
+		u.descs[key] = d
 	}
-	uuid := bridgeUSNPrefix + "-" + kindBase + "-" + strconv.Itoa(len(u.descPaths))
-	friendly := rec.Attrs["friendlyName"]
+	d.kindBase, d.friendlyAttr = kindBase, friendlyAttr
+	d.usn = d.udn + "::" + upnp.TypeURN(kindBase, 1)
+	friendly := friendlyAttr
 	if friendly == "" {
 		friendly = strings.Title(kindBase) + " (via " + string(rec.Origin) + ")"
 	}
@@ -552,17 +572,17 @@ func (u *UPnPUnit) ensureDescription(rec core.ServiceRecord) (location, usn stri
 		ModelDescription: "Bridged " + string(rec.Origin) + " service at " + rec.URL,
 		ModelName:        kindBase,
 		ModelURL:         rec.URL,
-		UDN:              uuid,
+		UDN:              d.udn,
 		Services: []upnp.ServiceDesc{{
 			ServiceType: upnp.ServiceURN(kindBase, 1),
 			ServiceID:   "urn:upnp-org:serviceId:" + kindBase,
-			SCPDURL:     strings.TrimSuffix(path, "description.xml") + "scpd.xml",
+			SCPDURL:     strings.TrimSuffix(d.path, "description.xml") + "scpd.xml",
 			ControlURL:  rec.URL,
 			EventSubURL: "",
 		}},
 	}
-	u.descDocs[path] = upnp.MarshalDescription(desc)
-	return upnp.HTTPURL(u.descAddr, path), uuid + "::" + upnp.TypeURN(kindBase, 1)
+	u.descDocs[d.path] = upnp.MarshalDescription(desc)
+	return d.location, d.usn
 }
 
 // serveDescription serves the synthesized documents.

@@ -284,3 +284,27 @@ func TestPredictObserveAllocBudget(t *testing.T) {
 		t.Errorf("Observe allocates %.1f times per lookup, budget is 1", allocs)
 	}
 }
+
+// TestRateMeterObserveAllocFree: the monitor feeds every scanned datagram
+// to its SDP's rate meter under the monitor's lock, so Observe must be
+// constant work with no allocation. Once the window's content is stable
+// (here 100 samples in a 1 s window), popping expired heads and
+// compacting the queue reuse the backing array.
+func TestRateMeterObserveAllocFree(t *testing.T) {
+	m := core.NewRateMeter(time.Second)
+	now := time.Unix(1_000_000, 0)
+	observe := func() {
+		now = now.Add(10 * time.Millisecond)
+		m.Observe(now, 200)
+	}
+	for i := 0; i < 1000; i++ { // ten windows: the backing array peaks
+		observe()
+	}
+	allocs := testing.AllocsPerRun(1000, observe)
+	if allocs != 0 {
+		t.Errorf("RateMeter.Observe allocates %.1f times per datagram, want 0", allocs)
+	}
+	if rate := m.Rate(now); rate != 100*200 {
+		t.Errorf("steady rate = %v B/s, want %d", rate, 100*200)
+	}
+}
