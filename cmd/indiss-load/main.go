@@ -39,7 +39,7 @@ func main() {
 	predFrac := flag.Float64("pred-frac", 0.5, "fraction of HTTP queries carrying an SLP predicate")
 	services := flag.Int("services", 256, "services pre-registered per gateway")
 	churn := flag.Bool("churn", true, "churn the view (puts, removes, sub-second TTLs) during the run")
-	churnInterval := flag.Duration("churn-interval", 2*time.Millisecond, "spacing of churn operations per gateway (every put invalidates the whole answer cache)")
+	churnInterval := flag.Duration("churn-interval", 2*time.Millisecond, "spacing of churn operations per gateway (every put invalidates the cached answers of its kind)")
 	memBudget := flag.Int64("mem-budget", 0, "ViewMemBudget in bytes (0 = unbounded; >0 adds spill pressure)")
 	paperFabric := flag.Bool("paper-fabric", false, "run on the paper-grade 10 Mb/s campus fabric instead of the gigabit one (measures the simulated pipe as much as the query plane)")
 	predictOn := flag.Bool("predict", false, "enable the predictive discovery cache on every gateway (A/B against a run without it)")
@@ -138,10 +138,10 @@ func run(gateways, queries, workers int, nativeFrac, predFrac float64, services 
 				// build and the front outruns the prefetcher.
 				MaxPredict: 8,
 				// The Warm freshness probe already bounds builds to one
-				// per generation per kind; the gap only needs to blunt
-				// the degenerate regime where the generation turns over
-				// faster than a build completes (~0.5ms at 4096
-				// services). Anything wider is pure loss: after a bump
+				// per generation of each kind; the gap only needs to
+				// blunt the degenerate regime where churn turns a kind's
+				// generation over faster than a build completes (~0.5ms
+				// at 4096 services). Anything wider is pure loss: after a bump
 				// the kind stays un-warmable for the rest of the gap,
 				// which hands the first toucher a guaranteed miss.
 				PrefetchGap: 2 * time.Millisecond,

@@ -84,6 +84,7 @@ type armedState struct {
 type kindBucket struct {
 	recs  map[string]ServiceRecord // key → record
 	touch atomic.Int64             // unix seconds of the last read hit
+	gen   uint64                   // the kind's generation (see KindGeneration)
 }
 
 // viewShard holds the records of the kinds hashing to it, bucketed by
@@ -101,6 +102,11 @@ type viewShard struct {
 	// heap beyond transient orphans.
 	armed map[string]armedState
 	seq   uint64
+	// absentGen is the generation of every kind hashing here that has
+	// no bucket. It only grows: a mutation that leaves a kind without a
+	// bucket stamps it, and dropping a bucket raises it to the bucket's
+	// own generation, so no kind's generation ever goes backwards.
+	absentGen uint64
 }
 
 // armedKey identifies a heap entry's record within its shard.
@@ -167,13 +173,15 @@ type ServiceView struct {
 
 	shards [viewShardCount]viewShard
 
-	// gen counts view mutations: every Put, Remove and expiry bumps it.
-	// Consumers that memoize derived answers (the query plane's answer
-	// cache, after the federation digest cache's bumpSummaries pattern)
-	// tag their cache with the generation read before the scan and
-	// revalidate with one atomic load. Eviction to the cold tier does
-	// NOT bump it: spilling moves a record's residence, not the answer
-	// set (ScanCold serves it from disk).
+	// gen counts view mutations: every Put, Remove and expiry bumps it,
+	// and the value a bump returns becomes the generation of the kind
+	// it touched (see KindGeneration). Consumers that memoize derived
+	// answers (the query plane's answer cache, after the federation
+	// digest cache's bumpSummaries pattern) tag an answer with its
+	// kind's generation read before the scan, so churn on one kind
+	// leaves every other kind's answers valid. Eviction to the cold
+	// tier bumps nothing: spilling moves a record's residence, not the
+	// answer set (ScanCold serves it from disk).
 	gen atomic.Uint64
 
 	// Delta feed. numSubs mirrors the total subscriber count so the
@@ -332,18 +340,49 @@ func (v *ServiceView) SubscribeDeltaBatches(buf int) (<-chan []Delta, func()) {
 	return sub.ch, cancel
 }
 
-// Generation returns the view's mutation counter. Any change to the
-// answer a Find/FindWhere could give — insert, refresh, withdrawal,
-// expiry — has bumped it, so an answer rendered at generation G is
-// still exact while Generation() == G (modulo the records' own TTLs,
-// which the caller bounds separately: expiry only bumps the counter
-// when the lazy sweep collects the record, not at the instant its
-// lifetime lapses).
+// Generation returns the view's mutation counter: the number of Puts,
+// Removes and expiries so far, across every kind.
 func (v *ServiceView) Generation() uint64 { return v.gen.Load() }
 
-// bumpGen invalidates generation-memoized consumers; every mutation
-// that can change a query answer calls it.
-func (v *ServiceView) bumpGen() { v.gen.Add(1) }
+// KindGeneration returns the generation of one kind (case-insensitive):
+// the mutation counter's value at the last insert, refresh, withdrawal
+// or expiry of a record of that kind. It is monotonic per kind, so an
+// answer rendered after reading G is still exact while KindGeneration
+// returns G (modulo the records' own TTLs, which the caller bounds
+// separately: expiry only bumps a kind when the lazy sweep collects the
+// record, not at the instant its lifetime lapses). Mutations of other
+// kinds leave it alone. The empty kind matches every kind, so its
+// generation is the mutation counter itself.
+//
+// A lower-case kind is used as is; the query plane's cache-hit path
+// relies on that to read a generation without allocating.
+func (v *ServiceView) KindGeneration(kind string) uint64 {
+	if kind == "" {
+		return v.gen.Load()
+	}
+	lk := strings.ToLower(kind)
+	sh := v.shardFor(lk)
+	sh.mu.RLock()
+	gen := sh.absentGen
+	if b := sh.kinds[lk]; b != nil {
+		gen = b.gen
+	}
+	sh.mu.RUnlock()
+	return gen
+}
+
+// bumpKindLocked records a mutation of kind lk, whose shard sh the
+// caller holds write-locked. Taking the counter under that lock keeps
+// every kind's generation monotonic: two mutations of one kind cannot
+// store their stamps out of order.
+func (v *ServiceView) bumpKindLocked(sh *viewShard, lk string) {
+	gen := v.gen.Add(1)
+	if b := sh.kinds[lk]; b != nil {
+		b.gen = gen
+	} else {
+		sh.absentGen = gen
+	}
+}
 
 // wantDeltas gates delta collection on the mutating paths.
 func (v *ServiceView) wantDeltas() bool { return v.numSubs.Load() > 0 }
@@ -406,6 +445,7 @@ func (v *ServiceView) Put(rec ServiceRecord) {
 		sh := v.shardFor(old)
 		sh.mu.Lock()
 		v.deleteFromBucket(sh, old, key)
+		v.bumpKindLocked(sh, old)
 		sh.mu.Unlock()
 	}
 	v.keys[key] = lk
@@ -434,7 +474,7 @@ func (v *ServiceView) Put(rec ServiceRecord) {
 		pushExpiry(sh, expiryEntry{at: rec.Expires, kind: lk, key: key, seq: sh.seq})
 		sh.armed[ak] = armedState{seq: sh.seq, at: rec.Expires}
 	}
-	v.bumpGen()
+	v.bumpKindLocked(sh, lk)
 	if v.wantDeltas() {
 		deltas = append(deltas, Delta{Op: DeltaPut, Record: stored})
 	}
@@ -468,7 +508,11 @@ func (v *ServiceView) Remove(origin SDP, url string) bool {
 		// it from there, announcing the removal so the storage pump and
 		// the federation see the withdrawal like any other.
 		if rec, spilled := v.coldLookup(origin, url, time.Now()); spilled {
-			v.bumpGen()
+			lk := strings.ToLower(rec.Kind)
+			sh := v.shardFor(lk)
+			sh.mu.Lock()
+			v.bumpKindLocked(sh, lk)
+			sh.mu.Unlock()
 			v.emitDeltas([]Delta{{Op: DeltaRemove, Record: rec}})
 			return true
 		}
@@ -485,7 +529,7 @@ func (v *ServiceView) Remove(origin SDP, url string) bool {
 		}
 	}
 	v.deleteFromBucket(sh, lk, key)
-	v.bumpGen()
+	v.bumpKindLocked(sh, lk)
 	sh.mu.Unlock()
 	v.keysMu.Unlock()
 	v.emitDeltas(deltas)
@@ -739,7 +783,7 @@ func (v *ServiceView) sweepShardLocked(sh *viewShard, now time.Time, deltas []De
 			deltas = append(deltas, Delta{Op: DeltaExpire, Record: rec})
 		}
 		v.deleteFromBucket(sh, entry.kind, entry.key)
-		v.bumpGen()
+		v.bumpKindLocked(sh, entry.kind)
 		delete(sh.armed, ak)
 		// Only unindex the key if it still routes to this bucket (it may
 		// have been re-put under another kind).
@@ -752,7 +796,10 @@ func (v *ServiceView) sweepShardLocked(sh *viewShard, now time.Time, deltas []De
 
 // deleteFromBucket removes one record and settles its memory account;
 // every removal path (withdrawal, expiry, kind change, eviction) funnels
-// through here so the budget estimate cannot drift.
+// through here so the budget estimate cannot drift. Dropping an empty
+// bucket hands its generation to the shard's absentGen, so the kind's
+// generation never goes backwards (eviction empties buckets without a
+// bump).
 func (v *ServiceView) deleteFromBucket(sh *viewShard, lk, key string) {
 	bucket := sh.kinds[lk]
 	if bucket == nil {
@@ -764,6 +811,7 @@ func (v *ServiceView) deleteFromBucket(sh *viewShard, lk, key string) {
 	delete(bucket.recs, key)
 	if len(bucket.recs) == 0 {
 		delete(sh.kinds, lk)
+		sh.absentGen = max(sh.absentGen, bucket.gen)
 	}
 }
 

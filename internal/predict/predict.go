@@ -10,7 +10,8 @@
 // request path:
 //
 //   - prefetch: a lookup of a rule's trigger kind warms the query
-//     plane's generation-keyed answer cache for the predicted kinds, so
+//     plane's answer cache (keyed by per-kind view generations) for the
+//     predicted kinds, so
 //     the follow-up query is a zero-allocation cache hit instead of a
 //     cold scan;
 //   - predictive refresh: remote records of predicted kinds nearing TTL
@@ -64,12 +65,12 @@ type Config struct {
 	// RefreshInterval is how often the expiry index is scanned.
 	RefreshInterval time.Duration
 	// PrefetchGap is the minimum spacing between prefetch builds of the
-	// same kind. This is the prefetcher's load governor: under view
-	// churn every generation bump re-stales the whole answer cache, and
-	// without a floor a busy trigger would rebuild its predicted
-	// answers at the full lookup rate — background scans starving the
-	// foreground they exist to speed up. The gap bounds background
-	// build work to rules/gap regardless of traffic.
+	// same kind. This is the prefetcher's load governor: under churn on
+	// a kind every bump of its generation re-stales that kind's cached
+	// answers, and without a floor a busy trigger would rebuild its
+	// predicted answers at the full lookup rate — background scans
+	// starving the foreground they exist to speed up. The gap bounds
+	// background build work to rules/gap regardless of traffic.
 	PrefetchGap time.Duration
 	// RulePath, when set, persists the distilled rule table across
 	// restarts (loaded at start, saved at every distill and at Close).
@@ -263,9 +264,10 @@ func (p *Predictor) saveRules() {
 // prefetchLoop drains triggers: for each, warm the answer cache for
 // every predicted kind. Warm is a no-op when the entry is already
 // fresh, so a hot trigger costs one RLock probe per predicted kind —
-// and PrefetchGap floors the rebuild spacing per kind, so view churn
-// (which re-stales the cache at every generation bump) cannot turn the
-// trigger stream into a background scan storm.
+// and PrefetchGap floors the rebuild spacing per kind, so churn on a
+// predicted kind (which re-stales its answers at every bump of its
+// generation) cannot turn the trigger stream into a background scan
+// storm.
 func (p *Predictor) prefetchLoop() {
 	if p.qs == nil {
 		return

@@ -19,10 +19,11 @@
 // The serving path follows the repo's hot-path discipline: pooled
 // request/response buffers, exact-size AppendTo-style JSON rendering
 // (no encoding/json, no per-request maps), and a per-(kind,predicate)
-// answer cache memoized on the view's mutation generation — a cached
-// answer is valid until the view mutates or the earliest record in the
-// answer expires, so a read-heavy interval serves prerendered wire
-// images. Records the memory budget spilled to the cold tier are
+// answer cache memoized on the kind's generation in the view — a
+// cached answer is valid until a record of its kind is put, removed or
+// expired, or the earliest record in the answer expires, so a
+// read-heavy interval serves prerendered wire images even while other
+// kinds churn. Records the memory budget spilled to the cold tier are
 // merged into answers via the view's ScanCold, so HTTP clients see the
 // whole view, not just the resident slice.
 //

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,14 +12,15 @@ import (
 )
 
 // Engine answers find-by-kind queries from the service view with a
-// per-(kind,predicate) answer cache memoized on the view's mutation
-// generation — the bumpSummaries pattern the federation's digest plane
+// per-(kind,predicate) answer cache memoized on the kind's generation
+// in the view — the bumpSummaries pattern the federation's digest plane
 // uses, applied to whole prerendered HTTP responses.
 //
 // A cached answer is valid while BOTH hold:
 //
-//  1. the view's generation still equals the one read before the scan
-//     that built it (any Put/Remove/expiry sweep bumps it), and
+//  1. its kind's generation still equals the one read before the scan
+//     that built it (a Put/Remove/expiry of that kind bumps it; churn
+//     on other kinds does not), and
 //  2. now is before the earliest Expires among the answer's records —
 //     lazy expiry means a record can lapse before any sweep notices,
 //     and rule 1 alone would keep serving it.
@@ -47,13 +49,19 @@ type qkey struct {
 // The two prefetch fields are the only exception to immutability: hit
 // flips false→true exactly once, under atomics.
 type answer struct {
-	gen       uint64 // view generation read BEFORE the scan that built this
+	gen       uint64 // kind generation read BEFORE the scan that built this
+	lk        string // lowered kind: reading gen back allocates nothing
 	minExpiry int64  // unixnano of the earliest record expiry; MaxInt64 when none
 	wire      []byte // complete HTTP/1.1 response, headers included
 	pred      *slp.Predicate
 
 	prefetched bool        // built by Warm, not by a client miss
 	hit        atomic.Bool // a client query was served from this entry
+}
+
+// fresh reports whether the answer may still be served at now.
+func (a *answer) fresh(view *core.ServiceView, now time.Time) bool {
+	return now.UnixNano() < a.minExpiry && a.gen == view.KindGeneration(a.lk)
 }
 
 // maxCacheEntries bounds the answer cache. Past it, inserting first
@@ -81,15 +89,14 @@ func (e *Engine) attach(c *counters) { e.ctrs = c }
 // predicate returns the error; the caller owes the client a 400.
 //
 // This is the query plane's hot path: a cache hit is one struct-keyed
-// map lookup and one append — zero allocations when dst has capacity.
+// map lookup, one read of the kind's generation and one append — zero
+// allocations when dst has capacity.
 func (e *Engine) AppendAnswer(dst []byte, kind, pred string, now time.Time) ([]byte, bool, error) {
 	k := qkey{kind: kind, pred: pred}
-	gen := e.view.Generation()
-
 	e.mu.RLock()
 	a := e.cache[k]
 	e.mu.RUnlock()
-	if a != nil && a.gen == gen && now.UnixNano() < a.minExpiry {
+	if a != nil && a.fresh(e.view, now) {
 		e.ctrs.cacheHits.Add(1)
 		if a.prefetched && a.hit.CompareAndSwap(false, true) {
 			e.ctrs.prefetchHits.Add(1)
@@ -113,11 +120,10 @@ func (e *Engine) AppendAnswer(dst []byte, kind, pred string, now time.Time) ([]b
 // was actually built.
 func (e *Engine) Warm(kind, pred string, now time.Time) bool {
 	k := qkey{kind: kind, pred: pred}
-	gen := e.view.Generation()
 	e.mu.RLock()
 	a := e.cache[k]
 	e.mu.RUnlock()
-	if a != nil && a.gen == gen && now.UnixNano() < a.minExpiry {
+	if a != nil && a.fresh(e.view, now) {
 		return false // already hot
 	}
 	if _, err := e.build(k, a, now, true); err != nil {
@@ -146,7 +152,8 @@ func (e *Engine) build(k qkey, prev *answer, now time.Time, prefetched bool) (*a
 	// Generation BEFORE the scan: a mutation racing the scan lands a
 	// generation the entry does not match, forcing the next query to
 	// rebuild. The stale entry can never serve a post-mutation read.
-	gen := e.view.Generation()
+	lk := strings.ToLower(k.kind)
+	gen := e.view.KindGeneration(lk)
 
 	var keep func(*core.ServiceRecord) bool
 	if compiled != nil {
@@ -180,6 +187,7 @@ func (e *Engine) build(k qkey, prev *answer, now time.Time, prefetched bool) (*a
 	})
 
 	a := renderAnswer(e.gwID, k, gen, recs)
+	a.lk = lk
 	a.pred = compiled // donate the compilation to the next rebuild
 	a.prefetched = prefetched
 	e.install(k, a)
@@ -207,9 +215,8 @@ func (e *Engine) install(k qkey, a *answer) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, exists := e.cache[k]; !exists && len(e.cache) >= maxCacheEntries {
-		gen := e.view.Generation()
 		for key, old := range e.cache {
-			if old.gen != gen {
+			if old.gen != e.view.KindGeneration(old.lk) {
 				delete(e.cache, key)
 			}
 		}

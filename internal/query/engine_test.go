@@ -104,7 +104,7 @@ func TestEngineCacheHitAndInvalidation(t *testing.T) {
 		t.Fatalf("repeat query: hit=%v equal=%v", hit, bytes.Equal(w1, w2))
 	}
 
-	// Any mutation bumps the generation and invalidates the answer.
+	// A Put of the kind bumps its generation and invalidates the answer.
 	view.Put(rec("printer", "service:printer://b", nil, time.Hour, now))
 	w3, hit, _ := e.AppendAnswer(nil, "printer", "", now)
 	if hit {

@@ -104,11 +104,16 @@ func TestFigure4EventSequence(t *testing.T) {
 
 	var mu sync.Mutex
 	var captured []events.Stream
+	tapped := make(chan struct{}, 1)
 	sys.Bus().Subscribe("test-tap", events.ListenerFunc(func(env events.Envelope) {
 		if env.Source == "slp-unit" {
 			mu.Lock()
 			captured = append(captured, env.Stream.Clone())
 			mu.Unlock()
+			select {
+			case tapped <- struct{}{}:
+			default:
+			}
 		}
 	}))
 
@@ -117,6 +122,12 @@ func TestFigure4EventSequence(t *testing.T) {
 		t.Fatalf("FindFirst: %v", err)
 	}
 
+	// The bus delivers to the tap asynchronously: the answer can reach
+	// the client before the tap has run.
+	select {
+	case <-tapped:
+	case <-time.After(5 * time.Second):
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(captured) == 0 {

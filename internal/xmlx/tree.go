@@ -128,7 +128,7 @@ func (n *Node) marshalTo(b *strings.Builder) {
 		b.WriteByte(' ')
 		b.WriteString(a.Name)
 		b.WriteString(`="`)
-		b.WriteString(Escape(a.Value))
+		escapeTo(b, a.Value)
 		b.WriteByte('"')
 	}
 	if n.Text == "" && len(n.Children) == 0 {
@@ -136,7 +136,7 @@ func (n *Node) marshalTo(b *strings.Builder) {
 		return
 	}
 	b.WriteByte('>')
-	b.WriteString(Escape(n.Text))
+	escapeTo(b, n.Text)
 	for _, c := range n.Children {
 		c.marshalTo(b)
 	}

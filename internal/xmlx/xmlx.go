@@ -393,25 +393,56 @@ func decodeEntity(entity string) (string, error) {
 }
 
 // Escape encodes the five predefined entities in s for safe embedding in
-// element content or attribute values.
+// element content or attribute values. An invalid UTF-8 byte becomes
+// U+FFFD. A string that needs none of this is returned as is.
 func Escape(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	for _, r := range s {
-		switch r {
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		case '&':
-			b.WriteString("&amp;")
-		case '"':
-			b.WriteString("&quot;")
-		case '\'':
-			b.WriteString("&apos;")
-		default:
-			b.WriteRune(r)
-		}
+	if plainPrefix(s) == len(s) {
+		return s
 	}
+	var b strings.Builder
+	b.Grow(len(s) + 16)
+	escapeTo(&b, s)
 	return b.String()
+}
+
+// escapeTo appends Escape(s) to b, writing each run that needs no
+// escaping in one piece.
+func escapeTo(b *strings.Builder, s string) {
+	for {
+		i := plainPrefix(s)
+		b.WriteString(s[:i])
+		if i == len(s) {
+			return
+		}
+		if c := s[i]; c < utf8.RuneSelf {
+			b.WriteString(entities[c])
+		} else {
+			b.WriteString("\uFFFD") // an invalid UTF-8 byte
+		}
+		s = s[i+1:]
+	}
+}
+
+// entities maps each markup character to its predefined entity.
+var entities = [...]string{'<': "&lt;", '>': "&gt;", '&': "&amp;", '"': "&quot;", '\'': "&apos;"}
+
+// plainPrefix returns the length of the longest prefix of s that Escape
+// leaves unchanged: no markup character and no invalid UTF-8.
+func plainPrefix(s string) int {
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if int(c) < len(entities) && entities[c] != "" {
+				return i
+			}
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && n == 1 {
+			return i
+		}
+		i += n
+	}
+	return len(s)
 }
