@@ -977,8 +977,8 @@ func TestChaosRoamHandover(t *testing.T) {
 // hammering both gateways' views with a stable co-discovery pattern
 // (printer then scanner) plus churn-kind noise. The race detector is
 // the main assert; on top of it, the miner must distill the pattern
-// into a rule, the rule must drive prefetches, and the full soak
-// invariant set must hold at the closing checkpoint.
+// into a rule, and the full soak invariant set must hold at the closing
+// checkpoint.
 func TestPredictUnderChurn(t *testing.T) {
 	t.Parallel()
 	f := newChaosCampus(t, 2, 2, 0, 250*time.Millisecond, withPredict())
@@ -1034,8 +1034,8 @@ func TestPredictUnderChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// The stable pattern must have distilled into a rule and fired
-	// prefetches; keep presenting it until the next distill tick lands.
+	// The stable pattern must have distilled into a rule; keep
+	// presenting it until the next distill tick lands.
 	p0, ok := f.gws[0].Predictor().(*predict.Predictor)
 	if !ok {
 		t.Fatal("gateway deployed without a predictor")
@@ -1043,11 +1043,11 @@ func TestPredictUnderChurn(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st := p0.Stats()
-		if st.Rules > 0 && st.Prefetches > 0 {
+		if st.Rules > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no rule or prefetch after the storm: %+v", st)
+			t.Fatalf("no rule after the storm: %+v", st)
 		}
 		now := time.Now()
 		f.gws[0].View().Find("printer", now)
@@ -1064,4 +1064,154 @@ func TestPredictUnderChurn(t *testing.T) {
 		}
 	}
 	f.checkpoint("post-storm", w, 30*time.Second)
+}
+
+// TestPredictRefreshBridgesPartitionedRenewal measures what the
+// predictive refresh buys. gw1 holds a local record of a predicted kind
+// and gw2 a federated copy. The link between them is cut across the
+// record's one renewal and healed long before gw2's copy expires.
+// Digest anti-entropy hashes (key, epoch) and not expiry, so after the
+// heal the digests agree and nothing renews the copy: it lapses at its
+// old expiry and comes back only once the count mismatch triggers a
+// repair. With predict on, gw2 re-pulls gw1 when the copy enters the
+// refresh lead, and the copy must stay listed past the old expiry. The
+// "off" arm runs the same schedule without the predictor, checks that
+// nothing renewed the copy, and logs how long it was absent.
+func TestPredictRefreshBridgesPartitionedRenewal(t *testing.T) {
+	t.Parallel()
+	t.Run("predict", func(t *testing.T) {
+		t.Parallel()
+		gw2, rec, oldExpiry := partitionedRenewal(t, true)
+		// Present at every sample until well past the old expiry.
+		for until := oldExpiry.Add(250 * time.Millisecond); time.Now().Before(until); time.Sleep(2 * time.Millisecond) {
+			if _, ok := gw2.View().Get(rec.Origin, rec.URL); !ok {
+				t.Fatalf("gw2 lost the copy %v after its old expiry (predictor: %+v)",
+					time.Since(oldExpiry), gw2.Predictor().(*predict.Predictor).Stats())
+			}
+		}
+		got, _ := gw2.View().Get(rec.Origin, rec.URL)
+		if !got.Expires.After(oldExpiry) {
+			t.Fatalf("copy listed past its old expiry without a renewed lease: %v <= %v", got.Expires, oldExpiry)
+		}
+	})
+	t.Run("off", func(t *testing.T) {
+		t.Parallel()
+		gw2, rec, oldExpiry := partitionedRenewal(t, false)
+		var last, gone time.Time
+		back := waitUntil(time.Until(oldExpiry)+5*time.Second, func() bool {
+			got, ok := gw2.View().Get(rec.Origin, rec.URL)
+			switch {
+			case ok && gone.IsZero():
+				last = got.Expires
+				return false
+			case !ok && gone.IsZero():
+				gone = time.Now()
+			}
+			return ok
+		})
+		if gone.IsZero() {
+			t.Fatalf("the copy never lapsed: something renewed it without refresh (expiry %v, old %v)", last, oldExpiry)
+		}
+		if !last.Equal(oldExpiry) {
+			t.Fatalf("without refresh the copy's lease still moved: %v, old %v", last, oldExpiry)
+		}
+		if !back {
+			t.Fatal("the copy never came back after lapsing")
+		}
+		t.Logf("predict off: copy absent for %v after its old expiry (lapsed %v late)",
+			time.Since(gone).Round(time.Millisecond), gone.Sub(oldExpiry).Round(time.Millisecond))
+	})
+}
+
+// partitionedRenewal runs the shared schedule of the refresh test on a
+// two-gateway campus and returns gw2, the record and gw2's copy's
+// expiry before the renewal it missed. A lookup driver presents the
+// stable printer→scanner pattern to gw2 for the whole test, so with the
+// predictor on, scanner stays a predicted kind.
+func partitionedRenewal(t *testing.T, predictOn bool) (*indiss.System, core.ServiceRecord, time.Time) {
+	t.Helper()
+	var opts []chaosOpt
+	if predictOn {
+		opts = append(opts, withPredict())
+	}
+	f := newChaosCampus(t, 2, 0, 0, 250*time.Millisecond, opts...)
+	gw1, gw2 := f.gws[0], f.gws[1]
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+			now := time.Now()
+			gw2.View().Find("printer", now)
+			gw2.View().Find("scanner", now)
+		}
+	}()
+	t.Cleanup(func() { close(stop); <-done })
+
+	if predictOn {
+		p := gw2.Predictor().(*predict.Predictor)
+		if !waitUntil(10*time.Second, func() bool {
+			for _, r := range p.Rules() {
+				if r.Trigger == "printer" && r.Kind == "scanner" {
+					return true
+				}
+			}
+			return false
+		}) {
+			t.Fatalf("no printer→scanner rule on gw2: %+v", p.Stats())
+		}
+	}
+
+	const lifetime = 5 * time.Second
+	rec := core.ServiceRecord{
+		Origin: core.SDPSLP, Kind: "scanner", URL: "service:scanner:lpr://10.0.1.50",
+		Expires: time.Now().Add(lifetime),
+	}
+	gw1.View().Put(rec)
+	var copyExpiry time.Time
+	if !waitUntil(10*time.Second, func() bool {
+		got, ok := gw2.View().Get(rec.Origin, rec.URL)
+		copyExpiry = got.Expires
+		return ok && got.Remote
+	}) {
+		t.Fatal("gw2 never learned the record")
+	}
+
+	// Cut the link across the renewal, and heal it long before the
+	// copy enters the refresh lead (2s before its expiry).
+	seg := indiss.CampusSegment
+	if err := f.net.Partition(seg(1), seg(2)); err != nil {
+		t.Fatal(err)
+	}
+	// The renewal extends the lease by a whole lifetime, so a copy
+	// carrying it is unmistakably fresher than the one gw2 holds.
+	renewed := rec
+	renewed.Expires = rec.Expires.Add(lifetime)
+	gw1.View().Put(renewed)
+	if err := f.net.Heal(seg(1), seg(2)); err != nil {
+		t.Fatal(err)
+	}
+	if left := time.Until(copyExpiry); left < 3*time.Second {
+		t.Fatalf("schedule overran: %v left on the copy at heal", left)
+	}
+	return gw2, rec, copyExpiry
+}
+
+// waitUntil polls cond every 2ms until it holds or d elapses, and
+// reports whether it held.
+func waitUntil(d time.Duration, cond func() bool) bool {
+	for deadline := time.Now().Add(d); ; time.Sleep(2 * time.Millisecond) {
+		if cond() {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
 }

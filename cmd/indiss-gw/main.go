@@ -247,7 +247,7 @@ func main() {
 	sdpList := flag.String("sdps", "", "real mode: restrict the gateway to these protocol units (comma list of slp,upnp,jini,dnssd; default: all, self-adaptively)")
 	dataDir := flag.String("data-dir", "", "persist the service view under this directory (warm boot on restart; -segments > 1 uses per-gateway subdirectories)")
 	queryPort := flag.Int("query-port", 0, "serve the HTTP/JSON query API on this TCP port (0 = disabled, -1 = ephemeral)")
-	predictOn := flag.Bool("predict", false, "enable the predictive discovery cache (mines co-discovery rules from the lookup stream; prefetches the query plane, refreshes remote records ahead of expiry)")
+	predictOn := flag.Bool("predict", false, "enable the predictive discovery cache (mines co-discovery rules from the lookup stream; refreshes remote records of predicted kinds ahead of expiry)")
 	statsInterval := flag.Duration("stats-interval", 0, "print view/federation/store stats every interval (0 = only on shutdown)")
 	var peers peerList
 	flag.Var(&peers, "peer", "federation peer for the first gateway (ip:port, repeatable)")

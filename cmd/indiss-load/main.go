@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"indiss"
-	"indiss/internal/predict"
 	"indiss/internal/query"
 	"indiss/internal/simnet"
 )
@@ -42,7 +41,6 @@ func main() {
 	churnInterval := flag.Duration("churn-interval", 2*time.Millisecond, "spacing of churn operations per gateway (every put invalidates the cached answers of its kind)")
 	memBudget := flag.Int64("mem-budget", 0, "ViewMemBudget in bytes (0 = unbounded; >0 adds spill pressure)")
 	paperFabric := flag.Bool("paper-fabric", false, "run on the paper-grade 10 Mb/s campus fabric instead of the gigabit one (measures the simulated pipe as much as the query plane)")
-	predictOn := flag.Bool("predict", false, "enable the predictive discovery cache on every gateway (A/B against a run without it)")
 	roam := flag.Bool("roam", false, "roam load-client hosts across segments during the run (their keep-alive connections reset mid-flight, like a real handover)")
 	pace := flag.Duration("pace", 0, "per-worker delay between queries (0 = closed-loop saturation; >0 = open-loop clients with think time, the right mode for latency measurement)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -58,18 +56,17 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if err := run(*gateways, *queries, *workers, *nativeFrac, *predFrac, *services, *churn, *churnInterval, *memBudget, *paperFabric, *predictOn, *roam, *pace); err != nil {
+	if err := run(*gateways, *queries, *workers, *nativeFrac, *predFrac, *services, *churn, *churnInterval, *memBudget, *paperFabric, *roam, *pace); err != nil {
 		fmt.Fprintln(os.Stderr, "indiss-load:", err)
 		os.Exit(1)
 	}
 }
 
 // kinds is the query key space. Wide enough (64) that no single kind is
-// kept warm by foreground traffic alone: under churn, most lookups are
-// cold, which is the regime the -predict A/B measures — every worker
-// walks the kinds in a fixed cycle, so the next lookup is predictable
-// from the current one (the co-discovery structure HANDY mines).
-// Predicate queries target kinds whose records carry attrs.
+// kept warm by foreground traffic alone: every worker walks the kinds
+// in a fixed cycle, so under churn a lookup often lands on a kind whose
+// cached answers the last put of that kind invalidated. Predicate
+// queries target kinds whose records carry attrs.
 var kinds = func() []string {
 	out := make([]string, 64)
 	for i := range out {
@@ -99,7 +96,7 @@ func newCampus(n int, paperFabric bool) *indiss.Network {
 	return topo.MustBuild()
 }
 
-func run(gateways, queries, workers int, nativeFrac, predFrac float64, services int, churn bool, churnInterval time.Duration, memBudget int64, paperFabric, predictOn, roam bool, pace time.Duration) error {
+func run(gateways, queries, workers int, nativeFrac, predFrac float64, services int, churn bool, churnInterval time.Duration, memBudget int64, paperFabric, roam bool, pace time.Duration) error {
 	if gateways < 1 || queries < 1 || workers < 1 {
 		return fmt.Errorf("need -gateways, -queries, -workers >= 1")
 	}
@@ -120,32 +117,6 @@ func run(gateways, queries, workers int, nativeFrac, predFrac float64, services 
 			FederationPort: indiss.FederationDefaultPort,
 			QueryPort:      -1, // ephemeral
 			ViewMemBudget:  memBudget,
-			Predict:        predictOn,
-		}
-		if predictOn {
-			// Load-rig mining tempo: the run lasts seconds, not hours,
-			// and the demand cadence is sub-millisecond, not human-scale.
-			// The window must sit a few query intervals wide: much wider
-			// and every kind co-occurs with every other (confidence ~1.0
-			// for arbitrary pairs — a garbage rule table that prefetches
-			// the wrong kinds).
-			cfg.PredictConfig = predict.Config{
-				Window:          5 * time.Millisecond,
-				DistillInterval: 100 * time.Millisecond,
-				MinSupport:      3,
-				// Deep warm-ahead: the sweep front advances a kind every
-				// ~50µs, so 4 kinds of cover is ~200µs — one backlogged
-				// build and the front outruns the prefetcher.
-				MaxPredict: 8,
-				// The Warm freshness probe already bounds builds to one
-				// per generation of each kind; the gap only needs to
-				// blunt the degenerate regime where churn turns a kind's
-				// generation over faster than a build completes (~0.5ms
-				// at 4096 services). Anything wider is pure loss: after a bump
-				// the kind stays un-warmable for the rest of the gap,
-				// which hands the first toucher a guaranteed miss.
-				PrefetchGap: 2 * time.Millisecond,
-			}
 		}
 		if i < gateways {
 			cfg.Peers = []string{fmt.Sprintf("10.0.%d.9:%d", i+1, indiss.FederationDefaultPort)}
@@ -179,8 +150,8 @@ func run(gateways, queries, workers int, nativeFrac, predFrac float64, services 
 		}
 	}
 
-	fmt.Printf("indiss-load: campus up: %d chain-federated gateways, %d services each, churn=%v mem-budget=%d predict=%v roam=%v\n",
-		gateways, services, churn, memBudget, predictOn, roam)
+	fmt.Printf("indiss-load: campus up: %d chain-federated gateways, %d services each, churn=%v mem-budget=%d roam=%v\n",
+		gateways, services, churn, memBudget, roam)
 	if churn {
 		fmt.Printf("indiss-load: churn interval %s per gateway\n", churnInterval)
 	}
@@ -251,27 +222,20 @@ func run(gateways, queries, workers int, nativeFrac, predFrac float64, services 
 		workers, total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds(), httpErrs.Load())
 	report("native", native)
 	report("http", http)
-	var hits, misses, prefetches, prefetchHits, prefetchWasted uint64
+	var hits, misses uint64
 	for i, sys := range systems {
 		if qp, ok := sys.QueryPlane().(*query.Server); ok {
 			st := qp.Stats()
 			hits += st.CacheHits
 			misses += st.CacheMisses
-			prefetches += st.Prefetches
-			prefetchHits += st.PrefetchHits
-			prefetchWasted += st.PrefetchWasted
 			fmt.Printf("indiss-load: gw%d query: %s\n", i+1, st.String())
 		}
-		if p, ok := sys.Predictor().(*predict.Predictor); ok {
-			fmt.Printf("indiss-load: gw%d predict: %s\n", i+1, p.Stats().String())
-		}
 	}
-	// The A/B headline: the answer cache's hit rate and the prefetches
-	// behind it. The http p99 above is the other half — the miss tail.
+	// The answer cache's hit rate; the http p99 above is the other
+	// half — the miss tail.
 	if hits+misses > 0 {
-		fmt.Printf("indiss-load: answer-cache: hits=%d misses=%d hit-rate=%.1f%% prefetches=%d prefetch_hits=%d prefetch_wasted=%d\n",
-			hits, misses, 100*float64(hits)/float64(hits+misses),
-			prefetches, prefetchHits, prefetchWasted)
+		fmt.Printf("indiss-load: answer-cache: hits=%d misses=%d hit-rate=%.1f%%\n",
+			hits, misses, 100*float64(hits)/float64(hits+misses))
 	}
 	if httpErrs.Load() > uint64(total/100) {
 		return fmt.Errorf("%d HTTP errors (>1%% of %d queries)", httpErrs.Load(), total)

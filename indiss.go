@@ -223,13 +223,12 @@ type Config struct {
 	QueryPort int
 
 	// Predict enables the predictive discovery cache: an online miner
-	// over the gateway's lookup stream whose co-discovery rules prefetch
-	// the query plane's answer cache and refresh remote records of
-	// predicted kinds ahead of TTL expiry. It composes with whatever
-	// planes are enabled — prefetch needs QueryPort, predictive refresh
-	// needs federation, and the miner runs regardless. When DataDir is
-	// set, the rule table persists across restarts (rules.iprt). See
-	// DESIGN.md §13.
+	// over the gateway's lookup stream whose co-discovery rules refresh
+	// remote records of predicted kinds ahead of TTL expiry. It composes
+	// with whatever planes are enabled — the refresh needs federation,
+	// QueryPort adds the HTTP lookups to the mined stream, and the miner
+	// runs regardless. When DataDir is set, the rule table persists
+	// across restarts (rules.iprt). See DESIGN.md §13.
 	Predict bool
 	// PredictConfig tunes the miner; the zero value selects the
 	// documented defaults. Ignored unless Predict is set.
@@ -318,9 +317,9 @@ func Deploy(stack Stack, cfg Config) (*System, error) {
 				pcfg.RulePath = filepath.Join(cfg.DataDir, "rules.iprt")
 			}
 			// The predictor composes with whatever planes exist: no
-			// query plane means no HTTP observer and no prefetch
-			// target, no federation means no predictive refresh — the
-			// miner still runs on the view's native lookups.
+			// query plane means no HTTP lookups to mine, no federation
+			// means no predictive refresh — the miner still runs on
+			// the view's native lookups.
 			qs, _ := s.QueryPlane().(*query.Server)
 			var fed predict.Refresher
 			if ep, ok := s.Federation().(*federation.Endpoint); ok {

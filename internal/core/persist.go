@@ -145,7 +145,14 @@ func (s *System) pumpStore(batches <-chan []Delta) {
 				// Expiry is erased too: the record would be dropped on
 				// replay anyway, but erasing keeps lookups and the
 				// spilled set from serving it meanwhile.
-				_ = s.store.Erase(string(d.Record.Origin), d.Record.URL)
+				if spilled, _ := s.store.Erase(string(d.Record.Origin), d.Record.URL); spilled {
+					// The view stamped the kind when the record was
+					// withdrawn, but until now the cold tier still
+					// served it: an answer built in between lists it
+					// under the new generation. Stamp again so that
+					// answer is stale.
+					s.view.bumpKind(d.Record.Kind)
+				}
 			}
 		}
 		_ = s.store.Flush()

@@ -384,6 +384,17 @@ func (v *ServiceView) bumpKindLocked(sh *viewShard, lk string) {
 	}
 }
 
+// bumpKind records a mutation of kind (any case) from outside the
+// mutating paths: the storage pump stamps a withdrawn spilled record's
+// kind again once the cold tier has dropped it.
+func (v *ServiceView) bumpKind(kind string) {
+	lk := strings.ToLower(kind)
+	sh := v.shardFor(lk)
+	sh.mu.Lock()
+	v.bumpKindLocked(sh, lk)
+	sh.mu.Unlock()
+}
+
 // wantDeltas gates delta collection on the mutating paths.
 func (v *ServiceView) wantDeltas() bool { return v.numSubs.Load() > 0 }
 
@@ -506,13 +517,11 @@ func (v *ServiceView) Remove(origin SDP, url string) bool {
 		v.keysMu.Unlock()
 		// The record may live only in the cold tier (spilled): withdraw
 		// it from there, announcing the removal so the storage pump and
-		// the federation see the withdrawal like any other.
+		// the federation see the withdrawal like any other. The cold
+		// tier keeps serving the record until the pump erases it, so
+		// the pump stamps the kind a second time then.
 		if rec, spilled := v.coldLookup(origin, url, time.Now()); spilled {
-			lk := strings.ToLower(rec.Kind)
-			sh := v.shardFor(lk)
-			sh.mu.Lock()
-			v.bumpKindLocked(sh, lk)
-			sh.mu.Unlock()
+			v.bumpKind(rec.Kind)
 			v.emitDeltas([]Delta{{Op: DeltaRemove, Record: rec}})
 			return true
 		}

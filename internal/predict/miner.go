@@ -25,7 +25,8 @@ const (
 	// historyLen is the per-source lookup ring: co-occurrence looks
 	// this many lookups back (within the time window).
 	historyLen = 8
-	// maxPairsPerKind bounds one trigger's successor cells.
+	// maxPairsPerKind bounds one trigger's successor cells, and with
+	// them the predicted kinds per trigger in a rule table.
 	maxPairsPerKind = 16
 	// maxSources bounds the per-source rings; the overflow reuses a
 	// shared anonymous ring (its cross-client pairs are noise, but
@@ -175,8 +176,8 @@ func (m *miner) distill() *ruleTable {
 			}
 			return rules[i].Kind < rules[j].Kind
 		})
-		if len(rules) > m.cfg.MaxPredict {
-			rules = rules[:m.cfg.MaxPredict]
+		if len(rules) > maxPairsPerKind {
+			rules = rules[:maxPairsPerKind]
 		}
 		next[kind] = rules
 		size += len(rules)

@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"indiss/internal/core"
-	"indiss/internal/query"
-	"indiss/internal/simnet"
 )
 
 // mineN feeds n printer→scanner episodes from one source into a miner.
@@ -153,7 +151,6 @@ func fastCfg() Config {
 		DistillInterval: 20 * time.Millisecond,
 		RefreshLead:     2 * time.Second,
 		RefreshInterval: 20 * time.Millisecond,
-		PrefetchGap:     time.Millisecond,
 	}
 }
 
@@ -167,56 +164,6 @@ func waitFor(t *testing.T, timeout time.Duration, what string, ok func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
-}
-
-func TestPredictorPrefetchWarmsAnswerCache(t *testing.T) {
-	n := simnet.New(simnet.Config{})
-	t.Cleanup(n.Close)
-	host := n.MustAddHost("gw", "10.0.0.1")
-	view := core.NewServiceView()
-	qs, err := query.New(host, view, query.Config{ListenPort: -1, GatewayID: "gw"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { qs.Close() })
-
-	view.Put(core.ServiceRecord{Origin: "slp", Kind: "scanner", URL: "svc:scanner://s1", Expires: time.Now().Add(time.Hour)})
-	view.Put(core.ServiceRecord{Origin: "slp", Kind: "printer", URL: "svc:printer://p1", Expires: time.Now().Add(time.Hour)})
-
-	p, err := New(fastCfg(), view, qs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-
-	// Teach it: printer then scanner, repeatedly, one source.
-	for i := 0; i < 6; i++ {
-		p.Observe("10.9.9.9", "printer")
-		p.Observe("10.9.9.9", "scanner")
-	}
-	waitFor(t, 5*time.Second, "a printer→scanner rule", func() bool {
-		for _, r := range p.Rules() {
-			if r.Trigger == "printer" && r.Kind == "scanner" {
-				return true
-			}
-		}
-		return false
-	})
-
-	// A trigger lookup should warm the scanner answer.
-	p.Observe("10.9.9.9", "printer")
-	waitFor(t, 5*time.Second, "a prefetch", func() bool {
-		p.Observe("10.9.9.9", "printer") // keep triggering; Warm no-ops once hot
-		return p.Stats().Prefetches > 0
-	})
-
-	// The warmed entry serves as a cache hit and counts as a prefetch hit.
-	if _, hit, err := qs.Engine().AppendAnswer(nil, "scanner", "", time.Now()); err != nil || !hit {
-		t.Fatalf("scanner answer after prefetch: hit=%v err=%v", hit, err)
-	}
-	if st := p.Stats(); st.PrefetchHits == 0 {
-		t.Errorf("PrefetchHits = 0 after serving a warmed entry; stats %+v", st)
-	}
 }
 
 // recordingRefresher captures PullOrigins calls.

@@ -114,8 +114,8 @@ func (p *Predictor) refreshTick(index map[string]map[string]*remoteRec, now time
 		}
 	}
 	if len(origins) > 0 {
-		asked := p.fed.PullOrigins(origins)
+		// Counted before the call, so a reader woken by the pull sees it.
 		p.ctrs.refreshPulls.Add(uint64(len(origins)))
-		_ = asked
+		p.fed.PullOrigins(origins)
 	}
 }

@@ -16,8 +16,8 @@ type Rule struct {
 }
 
 // ruleTable is one immutable distillation: trigger kind → predicted
-// rules, confidence-ordered. Published whole via ruleHolder; the hot
-// probe reads it with one atomic load and one map lookup.
+// rules, confidence-ordered. Published whole via ruleHolder, so the
+// refresh loop and diagnostics read it with one atomic load.
 type ruleTable struct {
 	next map[string][]Rule
 	size int // total rules
@@ -60,8 +60,9 @@ func (rt *ruleTable) persisted() []PersistedRule {
 }
 
 // buildTable groups persisted rows back into a table, re-applying the
-// per-trigger fanout cap.
-func buildTable(rows []PersistedRule, maxPredict int) *ruleTable {
+// miner's per-trigger fanout cap: the rows come from disk, not from the
+// bounded miner.
+func buildTable(rows []PersistedRule) *ruleTable {
 	next := make(map[string][]Rule)
 	for _, row := range rows {
 		next[row.Trigger] = append(next[row.Trigger], Rule{Kind: row.Kind, Confidence: row.Confidence, Support: row.Support})
@@ -74,8 +75,8 @@ func buildTable(rows []PersistedRule, maxPredict int) *ruleTable {
 			}
 			return rules[i].Kind < rules[j].Kind
 		})
-		if maxPredict > 0 && len(rules) > maxPredict {
-			rules = rules[:maxPredict]
+		if len(rules) > maxPairsPerKind {
+			rules = rules[:maxPairsPerKind]
 		}
 		next[t] = rules
 		size += len(rules)

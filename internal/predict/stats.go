@@ -6,12 +6,11 @@ import (
 )
 
 // counters is the predictor's instrumentation: plain atomics, bumped
-// without locks (the probe path touches only observed and triggers).
+// without locks (the probe path touches only observed and
+// eventsDropped).
 type counters struct {
 	observed       atomic.Uint64 // lookups seen (HTTP + native + SDP)
 	eventsDropped  atomic.Uint64 // observations shed under backpressure
-	triggers       atomic.Uint64 // lookups that matched a rule's trigger
-	prefetches     atomic.Uint64 // answer-cache entries actually warmed
 	distills       atomic.Uint64 // rule-table rebuilds
 	rules          atomic.Uint64 // rules in the published table
 	kindsTracked   atomic.Uint64 // trigger kinds the miner tracks
@@ -20,19 +19,12 @@ type counters struct {
 	refreshRecords atomic.Uint64 // records whose expiry scheduled a pull
 }
 
-// Stats is a point-in-time snapshot of the predictor. The prefetch
-// outcome counters (hits, wasted) live in the query plane's stats —
-// the engine is where a warmed entry is later served or displaced —
-// and are folded in here so one snapshot tells the whole story.
+// Stats is a point-in-time snapshot of the predictor.
 type Stats struct {
 	Rules          uint64
 	KindsTracked   uint64
 	Observed       uint64
 	EventsDropped  uint64
-	Triggers       uint64
-	Prefetches     uint64
-	PrefetchHits   uint64 // from the query engine: warmed entries served
-	PrefetchWasted uint64 // from the query engine: warmed entries displaced unread
 	Distills       uint64
 	RulesLoaded    uint64
 	RefreshPulls   uint64
@@ -41,24 +33,16 @@ type Stats struct {
 
 // Stats snapshots the predictor's counters.
 func (p *Predictor) Stats() Stats {
-	s := Stats{
+	return Stats{
 		Rules:          p.ctrs.rules.Load(),
 		KindsTracked:   p.ctrs.kindsTracked.Load(),
 		Observed:       p.ctrs.observed.Load(),
 		EventsDropped:  p.ctrs.eventsDropped.Load(),
-		Triggers:       p.ctrs.triggers.Load(),
-		Prefetches:     p.ctrs.prefetches.Load(),
 		Distills:       p.ctrs.distills.Load(),
 		RulesLoaded:    p.ctrs.rulesLoaded.Load(),
 		RefreshPulls:   p.ctrs.refreshPulls.Load(),
 		RefreshRecords: p.ctrs.refreshRecords.Load(),
 	}
-	if p.qs != nil {
-		qs := p.qs.Stats()
-		s.PrefetchHits = qs.PrefetchHits
-		s.PrefetchWasted = qs.PrefetchWasted
-	}
-	return s
 }
 
 // Rules returns the published rule set, flattened — diagnostics and
@@ -71,8 +55,7 @@ func (p *Predictor) Rules() []PersistedRule {
 // gateway's -stats-interval loop prints.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"rules=%d kinds=%d observed=%d dropped=%d triggers=%d prefetches=%d prefetch_hits=%d prefetch_wasted=%d distills=%d loaded=%d refresh_pulls=%d refresh_records=%d",
-		s.Rules, s.KindsTracked, s.Observed, s.EventsDropped, s.Triggers,
-		s.Prefetches, s.PrefetchHits, s.PrefetchWasted, s.Distills,
+		"rules=%d kinds=%d observed=%d dropped=%d distills=%d loaded=%d refresh_pulls=%d refresh_records=%d",
+		s.Rules, s.KindsTracked, s.Observed, s.EventsDropped, s.Distills,
 		s.RulesLoaded, s.RefreshPulls, s.RefreshRecords)
 }

@@ -25,7 +25,10 @@
 // read-heavy interval serves prerendered wire images even while other
 // kinds churn. Records the memory budget spilled to the cold tier are
 // merged into answers via the view's ScanCold, so HTTP clients see the
-// whole view, not just the resident slice.
+// whole view, not just the resident slice. Only client misses build
+// answers; the one hook for other layers is SetLookupObserver, which
+// hands each lookup's (client IP, kind) to the predictive cache's
+// miner.
 //
 // DESIGN.md §12 documents the ports, wire schema, predicate grammar
 // and the cache invalidation rule.

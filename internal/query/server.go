@@ -89,9 +89,6 @@ func New(stack netapi.Stack, view *core.ServiceView, cfg Config) (*Server, error
 // Addr returns the bound query endpoint.
 func (s *Server) Addr() netapi.Addr { return s.listener.Addr() }
 
-// Engine exposes the answer cache (benchmarks, budget tests).
-func (s *Server) Engine() *Engine { return s.engine }
-
 // SetLookupObserver installs (or, with nil, removes) the lookup
 // observer. The observer runs on the request path and must be cheap and
 // non-blocking; it sees the client's IP and the queried kind.

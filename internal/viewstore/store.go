@@ -451,26 +451,28 @@ func (st *Store) Put(rec *Record) error {
 }
 
 // Erase appends an erase entry (expiry or withdrawal) and drops the
-// key from the keydir.
-func (st *Store) Erase(origin, url string) error {
+// key from the keydir. spilled reports whether the key was disk-only:
+// until this call, ScanSpilledKind and Lookup still served it.
+func (st *Store) Erase(origin, url string) (spilled bool, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
-		return os.ErrClosed
+		return false, os.ErrClosed
 	}
 	key := Key(origin, url)
 	st.scratch = AppendErase(st.scratch[:0], origin, url)
 	_, _, size, err := st.appendLocked(st.scratch)
 	if err != nil {
-		return err
+		return false, err
 	}
 	st.addGarbage(st.activeID, size)
 	if old, ok := st.index[key]; ok {
 		st.addGarbage(old.seg, old.size)
 		delete(st.index, key)
 	}
+	_, spilled = st.spilled[key]
 	delete(st.spilled, key)
-	return nil
+	return spilled, nil
 }
 
 // PersistGrave appends a tombstone entry. Part of the federation

@@ -43,10 +43,10 @@ func TestWarmBootRoundTrip(t *testing.T) {
 		}
 	}
 	// b is withdrawn; c is withdrawn then re-registered.
-	if err := st.Erase(b.Origin, b.URL); err != nil {
+	if _, err := st.Erase(b.Origin, b.URL); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Erase(c.Origin, c.URL); err != nil {
+	if _, err := st.Erase(c.Origin, c.URL); err != nil {
 		t.Fatal(err)
 	}
 	c2 := c
@@ -245,5 +245,28 @@ func TestRotationAndCompaction(t *testing.T) {
 	st2 := openStore(t, dir, Options{SegmentBytes: 2048})
 	if n := len(st2.Recovered().Records); n != 1 {
 		t.Fatalf("recovered %d records after compaction, want 1", n)
+	}
+}
+
+// TestEraseReportsSpilled: Erase says whether it dropped a disk-only
+// key, the one case where the cold tier served the record until now.
+func TestEraseReportsSpilled(t *testing.T) {
+	st := openStore(t, t.TempDir(), Options{})
+	resident := testRec("soap://10.0.1.2:4004", time.Hour)
+	cold := testRec("soap://10.0.1.3:4004", time.Hour)
+	if err := st.Put(&resident); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Spill([]Record{cold}); err != nil {
+		t.Fatal(err)
+	}
+	if spilled, err := st.Erase(resident.Origin, resident.URL); err != nil || spilled {
+		t.Fatalf("Erase(resident) = %v, %v; want false, nil", spilled, err)
+	}
+	if spilled, err := st.Erase(cold.Origin, cold.URL); err != nil || !spilled {
+		t.Fatalf("Erase(spilled) = %v, %v; want true, nil", spilled, err)
+	}
+	if st.SpilledCount() != 0 {
+		t.Fatalf("SpilledCount = %d after erasing the spilled key, want 0", st.SpilledCount())
 	}
 }

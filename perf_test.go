@@ -268,8 +268,8 @@ func TestPooledStreamSteadyStateAllocFree(t *testing.T) {
 
 // TestPredictObserveAllocBudget: the predictor's lookup probe rides
 // inline on the view's Find path and the query plane's serve path, so
-// it must stay allocation-free: one atomic rule-table load, one map
-// lookup, two non-blocking channel sends of value types. The budget of
+// it must stay allocation-free: one atomic add and one non-blocking
+// channel send of a value type. The budget of
 // 1 leaves headroom for runtime noise without letting a per-lookup
 // event allocation sneak in. (AllocsPerRun pins GOMAXPROCS to 1, so
 // the mine loop is starved and the event channel fills — exactly the
